@@ -245,8 +245,8 @@ void scheme_comparison() {
         }
       }
       int received = 0;
-      for (const auto& origin : r.held_origins)
-        if (origin.rank != world.rank()) ++received;
+      for (const auto& item : r.held_items)
+        if (static_cast<int>(item.id / 1000) != world.rank()) ++received;
       moved[static_cast<std::size_t>(world.rank())] = received;
       if (world.rank() == 0) {
         before = r.imbalance_before;

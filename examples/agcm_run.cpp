@@ -48,11 +48,16 @@ int main(int argc, char** argv) {
     std::printf("  dynamics   %10.1f\n", report.dynamics_per_day());
     std::printf("  physics    %10.1f\n", report.physics_per_day());
     std::printf("  total      %10.1f\n", report.total_per_day());
-    std::printf("diagnostics: mass drift %.2e, zonal Courant %.3f, "
-                "physics imbalance %.1f%% -> %.1f%%\n",
-                report.mass_drift_rel, report.max_zonal_courant,
-                100.0 * report.physics_imbalance_before,
-                100.0 * report.physics_imbalance_after);
+    std::printf("diagnostics: mass drift %.2e, zonal Courant %.3f, ",
+                report.mass_drift_rel, report.max_zonal_courant);
+    // With LB off the imbalance is never computed: say so, not 0%.
+    if (model.physics_load_balance) {
+      std::printf("physics imbalance %.1f%% -> %.1f%%\n",
+                  100.0 * report.physics_imbalance_before,
+                  100.0 * report.physics_imbalance_after);
+    } else {
+      std::printf("physics imbalance n/a (load balancing off)\n");
+    }
 
     if (spec.trace) {
       const auto& tracer = trace::Tracer::instance();

@@ -40,9 +40,14 @@ int main() {
   std::printf("  relative mass drift      : %.2e (flux form conserves)\n",
               report.mass_drift_rel);
   std::printf("  max zonal Courant number : %.3f\n", report.max_zonal_courant);
-  std::printf("  physics imbalance        : %.1f%% -> %.1f%% (scheme 3)\n",
-              100.0 * report.physics_imbalance_before,
-              100.0 * report.physics_imbalance_after);
+  if (config.physics_load_balance) {
+    std::printf("  physics imbalance        : %.1f%% -> %.1f%% (%s)\n",
+                100.0 * report.physics_imbalance_before,
+                100.0 * report.physics_imbalance_after,
+                lb::scheme_name(config.lb_scheme));
+  } else {
+    std::printf("  physics imbalance        : n/a (load balancing off)\n");
+  }
   std::printf("  messages exchanged       : %llu (%.1f MB)\n",
               static_cast<unsigned long long>(report.total_messages),
               static_cast<double>(report.total_bytes) / 1.0e6);

@@ -31,14 +31,18 @@ BalanceResult execute_migration(const comm::Communicator& comm,
     result.imbalance_history.push_back(result.imbalance_before);
   }
 
-  // Keep my items that stay; group outgoing ones by destination.
-  std::vector<std::vector<std::size_t>> outgoing(static_cast<std::size_t>(p));
+  // Keep my items that stay. The hop log entry doubles as the send plan:
+  // per-destination counts, and the shipped positions grouped by
+  // destination in rank order.
+  const auto up = static_cast<std::size_t>(p);
+  const auto dpi = static_cast<std::size_t>(doubles_per_item);
+  Hop hop;
+  hop.sent.assign(up, 0);
   for (std::size_t q = 0; q < my_items.size(); ++q) {
     const int d = my_dest[q];
     AGCM_ASSERT(d >= 0 && d < p);
     if (d == me) {
       result.held_items.push_back(my_items[q]);
-      result.held_origins.push_back({me, static_cast<int>(q)});
       const auto off = q * static_cast<std::size_t>(doubles_per_item);
       result.held_payloads.insert(
           result.held_payloads.end(),
@@ -47,60 +51,48 @@ BalanceResult execute_migration(const comm::Communicator& comm,
               static_cast<std::ptrdiff_t>(
                   off + static_cast<std::size_t>(doubles_per_item)));
     } else {
-      outgoing[static_cast<std::size_t>(d)].push_back(q);
+      ++hop.sent[static_cast<std::size_t>(d)];
+      hop.shipped.push_back(q);
     }
   }
-
-  std::vector<int> send_counts(static_cast<std::size_t>(p), 0);
+  std::stable_sort(
+      hop.shipped.begin(), hop.shipped.end(),
+      [&](std::size_t a, std::size_t b) { return my_dest[a] < my_dest[b]; });
+  std::vector<std::size_t> send_off(up + 1, 0);
+  for (std::size_t r = 0; r < up; ++r)
+    send_off[r + 1] = send_off[r] + static_cast<std::size_t>(hop.sent[r]);
   std::vector<Item> send_items;
-  std::vector<Origin> send_origins;
-  for (int r = 0; r < p; ++r) {
-    for (std::size_t q : outgoing[static_cast<std::size_t>(r)]) {
-      send_items.push_back(my_items[q]);
-      send_origins.push_back({me, static_cast<int>(q)});
-    }
-    send_counts[static_cast<std::size_t>(r)] =
-        static_cast<int>(outgoing[static_cast<std::size_t>(r)].size());
-  }
+  send_items.reserve(hop.shipped.size());
+  for (std::size_t q : hop.shipped) send_items.push_back(my_items[q]);
 
-  // Exchange per-pair item counts, then the items/origins/payloads.
-  std::vector<int> one_each(static_cast<std::size_t>(p), 1);
-  const std::vector<int> recv_counts =
-      comm.alltoallv<int>(send_counts, one_each, one_each);
-
-  const auto items = comm.alltoallv<Item>(send_items, send_counts, recv_counts);
-  const auto origins =
-      comm.alltoallv<Origin>(send_origins, send_counts, recv_counts);
-
+  // Exchange per-pair item counts, then the items and payloads.
+  hop.received = comm.alltoallv<int>(hop.sent, ones, ones);
+  const auto items =
+      comm.alltoallv<Item>(send_items, hop.sent, hop.received);
   result.held_items.insert(result.held_items.end(), items.begin(), items.end());
-  result.held_origins.insert(result.held_origins.end(), origins.begin(),
-                             origins.end());
 
   // Payloads go over the pooled zero-copy engine: each destination's item
   // payloads are gathered straight from `my_payloads` into the wire buffer
   // (no send staging vector) and received blocks land directly in their
-  // final held_payloads position. The message schedule, sizes and tag are
-  // identical to the historical alltoallv<double>, so virtual-time outputs
-  // (Tables 1-3) are unchanged.
-  const auto dpi = static_cast<std::size_t>(doubles_per_item);
-  std::vector<std::size_t> send_bytes(static_cast<std::size_t>(p));
-  std::vector<std::size_t> recv_bytes(static_cast<std::size_t>(p));
-  std::vector<std::size_t> recv_off(static_cast<std::size_t>(p) + 1, 0);
-  for (int r = 0; r < p; ++r) {
-    const auto ur = static_cast<std::size_t>(r);
-    send_bytes[ur] = outgoing[ur].size() * dpi * sizeof(double);
-    recv_bytes[ur] =
-        static_cast<std::size_t>(recv_counts[ur]) * dpi * sizeof(double);
-    recv_off[ur + 1] = recv_off[ur] + recv_bytes[ur] / sizeof(double);
+  // final held_payloads position.
+  std::vector<std::size_t> send_bytes(up);
+  std::vector<std::size_t> recv_bytes(up);
+  std::vector<std::size_t> recv_off(up + 1, 0);
+  for (std::size_t r = 0; r < up; ++r) {
+    send_bytes[r] =
+        static_cast<std::size_t>(hop.sent[r]) * dpi * sizeof(double);
+    recv_bytes[r] =
+        static_cast<std::size_t>(hop.received[r]) * dpi * sizeof(double);
+    recv_off[r + 1] = recv_off[r] + recv_bytes[r] / sizeof(double);
   }
   const std::size_t kept_doubles = result.held_payloads.size();
   result.held_payloads.resize(kept_doubles + recv_off.back());
   comm.alltoallv_packed(
       send_bytes, recv_bytes,
       [&](int dst, comm::PackedWriter& w) {
-        for (std::size_t q : outgoing[static_cast<std::size_t>(dst)]) {
-          w.write<double>(my_payloads.subspan(q * dpi, dpi));
-        }
+        const auto ud = static_cast<std::size_t>(dst);
+        for (std::size_t s = send_off[ud]; s < send_off[ud + 1]; ++s)
+          w.write<double>(my_payloads.subspan(hop.shipped[s] * dpi, dpi));
       },
       [&](int src, comm::PackedReader& rd) {
         const auto us = static_cast<std::size_t>(src);
@@ -108,6 +100,7 @@ BalanceResult execute_migration(const comm::Communicator& comm,
                             .subspan(kept_doubles + recv_off[us],
                                      recv_bytes[us] / sizeof(double)));
       });
+  result.hops.push_back(std::move(hop));
 
   {
     double my_load = 0.0;
@@ -160,6 +153,26 @@ BalanceResult balance_sorted_greedy(const comm::Communicator& comm,
   comm.charge_flops(30.0 * static_cast<double>(all_items.size()));
   return execute_migration(comm, my_items, my_payloads, doubles_per_item,
                            dest[static_cast<std::size_t>(comm.rank())]);
+}
+
+BalanceResult balance(const comm::Communicator& comm, Scheme scheme,
+                      std::span<const Item> my_items,
+                      std::span<const double> my_payloads,
+                      int doubles_per_item, const PairwiseOptions& options) {
+  switch (scheme) {
+    case Scheme::kCyclic:
+      return balance_cyclic(comm, my_items, my_payloads, doubles_per_item);
+    case Scheme::kSortedGreedy:
+      return balance_sorted_greedy(comm, my_items, my_payloads,
+                                   doubles_per_item);
+    case Scheme::kPairwise:
+      return balance_pairwise(comm, my_items, my_payloads, doubles_per_item,
+                              options);
+    case Scheme::kNone:
+      break;
+  }
+  AGCM_ASSERT(scheme != Scheme::kNone);
+  return {};
 }
 
 }  // namespace agcm::lb

@@ -13,7 +13,7 @@ namespace agcm::lb {
 /// Moves items to the destinations in `my_dest` (one destination per local
 /// item) with a single personalised all-to-all. Collective. The returned
 /// held set is ordered: kept items first (original order), then received
-/// items grouped by source rank.
+/// items grouped by source rank; the exchange is logged as one hop.
 BalanceResult execute_migration(const comm::Communicator& comm,
                                 std::span<const Item> my_items,
                                 std::span<const double> my_payloads,
@@ -36,5 +36,12 @@ BalanceResult balance_sorted_greedy(const comm::Communicator& comm,
                                     std::span<const Item> my_items,
                                     std::span<const double> my_payloads,
                                     int doubles_per_item);
+
+/// Runs `scheme`'s executor (`options` applies to Scheme 3 only). Collective.
+/// `scheme` must not be Scheme::kNone.
+BalanceResult balance(const comm::Communicator& comm, Scheme scheme,
+                      std::span<const Item> my_items,
+                      std::span<const double> my_payloads,
+                      int doubles_per_item, const PairwiseOptions& options = {});
 
 }  // namespace agcm::lb

@@ -14,7 +14,6 @@ namespace agcm::lb {
 namespace {
 
 constexpr int kTagItems = 410;
-constexpr int kTagOrigins = 411;
 constexpr int kTagPayloads = 412;
 
 /// Greedy heaviest-first pick of held items approximating `target` weight
@@ -42,6 +41,27 @@ std::vector<std::size_t> pick_held(const std::vector<Item>& held,
   return picked;
 }
 
+/// Drops the held items at the `shipped` positions, keeping the rest in
+/// their old order.
+void drop_shipped(BalanceResult& held, std::span<const std::size_t> shipped,
+                  int doubles_per_item) {
+  const auto d = static_cast<std::size_t>(doubles_per_item);
+  std::vector<char> gone(held.held_items.size(), 0);
+  for (std::size_t q : shipped) gone[q] = 1;
+  std::size_t kept = 0;
+  for (std::size_t q = 0; q < gone.size(); ++q) {
+    if (gone[q]) continue;
+    if (kept != q) {
+      held.held_items[kept] = held.held_items[q];
+      std::copy_n(held.held_payloads.data() + q * d, d,
+                  held.held_payloads.data() + kept * d);
+    }
+    ++kept;
+  }
+  held.held_items.resize(kept);
+  held.held_payloads.resize(kept * d);
+}
+
 }  // namespace
 
 BalanceResult balance_pairwise(const comm::Communicator& comm,
@@ -51,15 +71,12 @@ BalanceResult balance_pairwise(const comm::Communicator& comm,
                                PairwiseOptions options) {
   const int p = comm.size();
   const int me = comm.rank();
-  AGCM_ASSERT(my_payloads.size() ==
-              my_items.size() * static_cast<std::size_t>(doubles_per_item));
+  const auto d = static_cast<std::size_t>(doubles_per_item);
+  AGCM_ASSERT(my_payloads.size() == my_items.size() * d);
 
   BalanceResult result;
   result.held_items.assign(my_items.begin(), my_items.end());
   result.held_payloads.assign(my_payloads.begin(), my_payloads.end());
-  result.held_origins.resize(my_items.size());
-  for (std::size_t q = 0; q < my_items.size(); ++q)
-    result.held_origins[q] = {me, static_cast<int>(q)};
 
   const std::vector<int> ones(static_cast<std::size_t>(p), 1);
 
@@ -109,75 +126,51 @@ BalanceResult balance_pairwise(const comm::Communicator& comm,
       continue;  // odd rank count: the median rank sits out
     }
     const int partner = order[static_cast<std::size_t>(partner_pos)];
+    const auto up = static_cast<std::size_t>(partner);
     const double gap = std::abs(loads[static_cast<std::size_t>(me)] -
-                                loads[static_cast<std::size_t>(partner)]);
+                                loads[up]);
     const double heavier = std::max(loads[static_cast<std::size_t>(me)],
-                                    loads[static_cast<std::size_t>(partner)]);
+                                    loads[up]);
     const bool exchange_needed =
         gap > options.tolerance * std::max(1.0e-300, heavier);
 
+    Hop hop;
+    hop.sent.assign(static_cast<std::size_t>(p), 0);
+    hop.received.assign(static_cast<std::size_t>(p), 0);
     if (my_pos < partner_pos) {
       // I am the heavier side: pick and ship.
-      std::vector<std::size_t> picked;
       if (exchange_needed)
-        picked = pick_held(result.held_items, gap / 2.0);
+        hop.shipped = pick_held(result.held_items, gap / 2.0);
       std::vector<Item> ship_items;
-      std::vector<Origin> ship_origins;
       std::vector<double> ship_payloads;
-      std::vector<char> keep(result.held_items.size(), 1);
-      for (std::size_t q : picked) {
-        keep[q] = 0;
+      for (std::size_t q : hop.shipped) {
         ship_items.push_back(result.held_items[q]);
-        ship_origins.push_back(result.held_origins[q]);
-        const auto off = q * static_cast<std::size_t>(doubles_per_item);
-        ship_payloads.insert(
-            ship_payloads.end(),
-            result.held_payloads.begin() + static_cast<std::ptrdiff_t>(off),
-            result.held_payloads.begin() +
-                static_cast<std::ptrdiff_t>(off + static_cast<std::size_t>(
-                                                      doubles_per_item)));
+        ship_payloads.insert(ship_payloads.end(),
+                             result.held_payloads.data() + q * d,
+                             result.held_payloads.data() + (q + 1) * d);
       }
-      if (trace::enabled() && !picked.empty()) {
+      if (trace::enabled() && !hop.shipped.empty()) {
         trace::MetricsRegistry::instance().add(
-            "lb.items_moved", me, static_cast<double>(picked.size()));
+            "lb.items_moved", me, static_cast<double>(hop.shipped.size()));
       }
       comm.send<Item>(partner, kTagItems, ship_items);
-      comm.send<Origin>(partner, kTagOrigins, ship_origins);
       comm.send<double>(partner, kTagPayloads, ship_payloads);
-      // Compact the kept items.
-      std::vector<Item> new_items;
-      std::vector<Origin> new_origins;
-      std::vector<double> new_payloads;
-      for (std::size_t q = 0; q < result.held_items.size(); ++q) {
-        if (!keep[q]) continue;
-        new_items.push_back(result.held_items[q]);
-        new_origins.push_back(result.held_origins[q]);
-        const auto off = q * static_cast<std::size_t>(doubles_per_item);
-        new_payloads.insert(
-            new_payloads.end(),
-            result.held_payloads.begin() + static_cast<std::ptrdiff_t>(off),
-            result.held_payloads.begin() +
-                static_cast<std::ptrdiff_t>(off + static_cast<std::size_t>(
-                                                      doubles_per_item)));
-      }
-      result.held_items = std::move(new_items);
-      result.held_origins = std::move(new_origins);
-      result.held_payloads = std::move(new_payloads);
+      drop_shipped(result, hop.shipped, doubles_per_item);
+      hop.sent[up] = static_cast<int>(hop.shipped.size());
     } else {
       // I am the lighter side: receive (possibly empty) shipments.
       const auto items = comm.recv_any_size<Item>(partner, kTagItems);
-      const auto origins = comm.recv_any_size<Origin>(partner, kTagOrigins);
       const auto payloads = comm.recv_any_size<double>(partner, kTagPayloads);
-      AGCM_ASSERT(items.size() == origins.size());
-      AGCM_ASSERT(payloads.size() ==
-                  items.size() * static_cast<std::size_t>(doubles_per_item));
+      AGCM_ASSERT(payloads.size() == items.size() * d);
       result.held_items.insert(result.held_items.end(), items.begin(),
                                items.end());
-      result.held_origins.insert(result.held_origins.end(), origins.begin(),
-                                 origins.end());
       result.held_payloads.insert(result.held_payloads.end(),
                                   payloads.begin(), payloads.end());
+      hop.received[up] = static_cast<int>(items.size());
     }
+    // A pair that moved nothing needs no return trip.
+    if (hop.sent[up] > 0 || hop.received[up] > 0)
+      result.hops.push_back(std::move(hop));
     result.iterations = iter + 1;
   }
   return result;
@@ -188,72 +181,48 @@ std::vector<double> return_to_owners(const comm::Communicator& comm,
                                      std::span<const double> held_results,
                                      int doubles_per_result,
                                      int my_item_count) {
-  const int p = comm.size();
-  AGCM_ASSERT(held_results.size() ==
-              held.held_items.size() *
-                  static_cast<std::size_t>(doubles_per_result));
+  const auto p = static_cast<std::size_t>(comm.size());
+  const auto d = static_cast<std::size_t>(doubles_per_result);
+  AGCM_ASSERT(held_results.size() == held.held_items.size() * d);
 
-  // Group held results by origin rank.
-  std::vector<std::vector<std::size_t>> by_owner(static_cast<std::size_t>(p));
-  for (std::size_t q = 0; q < held.held_origins.size(); ++q)
-    by_owner[static_cast<std::size_t>(held.held_origins[q].rank)].push_back(q);
-
-  std::vector<int> send_idx_counts(static_cast<std::size_t>(p), 0);
-  std::vector<int> send_data_counts(static_cast<std::size_t>(p), 0);
-  std::vector<int> send_indices;
-  std::vector<double> send_data;
-  for (int r = 0; r < p; ++r) {
-    for (std::size_t q : by_owner[static_cast<std::size_t>(r)]) {
-      send_indices.push_back(held.held_origins[q].index);
-      const auto off = q * static_cast<std::size_t>(doubles_per_result);
-      send_data.insert(
-          send_data.end(),
-          held_results.begin() + static_cast<std::ptrdiff_t>(off),
-          held_results.begin() +
-              static_cast<std::ptrdiff_t>(off + static_cast<std::size_t>(
-                                                    doubles_per_result)));
+  std::vector<double> results(held_results.begin(), held_results.end());
+  std::vector<int> send_counts(p);
+  std::vector<int> recv_counts(p);
+  for (auto hop = held.hops.rbegin(); hop != held.hops.rend(); ++hop) {
+    // The items this hop received sit at the tail, source by source: send
+    // their results back, and take back the results of the items it
+    // shipped. Both sides know every count from the forward hop.
+    std::size_t received = 0;
+    for (std::size_t r = 0; r < p; ++r) {
+      send_counts[r] = hop->received[r] * doubles_per_result;
+      recv_counts[r] = hop->sent[r] * doubles_per_result;
+      received += static_cast<std::size_t>(hop->received[r]);
     }
-    send_idx_counts[static_cast<std::size_t>(r)] =
-        static_cast<int>(by_owner[static_cast<std::size_t>(r)].size());
-    send_data_counts[static_cast<std::size_t>(r)] =
-        send_idx_counts[static_cast<std::size_t>(r)] * doubles_per_result;
+    const std::size_t kept = results.size() / d - received;
+    const std::vector<double> back = comm.alltoallv<double>(
+        std::span<const double>(results).subspan(kept * d), send_counts,
+        recv_counts);
+
+    // Rebuild the pre-hop order: returned results at the shipped
+    // positions, kept results in the remaining ones, in order.
+    const std::size_t n = kept + hop->shipped.size();
+    std::vector<double> before(n * d);
+    std::vector<char> shipped(n, 0);
+    for (std::size_t s = 0; s < hop->shipped.size(); ++s) {
+      const std::size_t q = hop->shipped[s];
+      shipped[q] = 1;
+      std::copy_n(back.data() + s * d, d, before.data() + q * d);
+    }
+    std::size_t k = 0;
+    for (std::size_t q = 0; q < n; ++q) {
+      if (shipped[q]) continue;
+      std::copy_n(results.data() + k * d, d, before.data() + q * d);
+      ++k;
+    }
+    results = std::move(before);
   }
-
-  // Every rank must know how many items come back from each peer: exchange
-  // the counts first (p ints), then the indices and the data.
-  const std::vector<int> ones(static_cast<std::size_t>(p), 1);
-  std::vector<int> flat_counts;
-  for (int r = 0; r < p; ++r)
-    flat_counts.push_back(send_idx_counts[static_cast<std::size_t>(r)]);
-  // alltoall of one int per pair:
-  std::vector<int> one_each(static_cast<std::size_t>(p), 1);
-  const std::vector<int> recv_idx_counts =
-      comm.alltoallv<int>(flat_counts, one_each, one_each);
-
-  std::vector<int> recv_data_counts(static_cast<std::size_t>(p));
-  for (int r = 0; r < p; ++r)
-    recv_data_counts[static_cast<std::size_t>(r)] =
-        recv_idx_counts[static_cast<std::size_t>(r)] * doubles_per_result;
-
-  const std::vector<int> indices =
-      comm.alltoallv<int>(send_indices, send_idx_counts, recv_idx_counts);
-  const std::vector<double> data =
-      comm.alltoallv<double>(send_data, send_data_counts, recv_data_counts);
-
-  AGCM_ASSERT(static_cast<int>(indices.size()) == my_item_count);
-  std::vector<double> out(static_cast<std::size_t>(my_item_count) *
-                          static_cast<std::size_t>(doubles_per_result));
-  for (std::size_t n = 0; n < indices.size(); ++n) {
-    const auto idx = static_cast<std::size_t>(indices[n]);
-    AGCM_ASSERT(idx < static_cast<std::size_t>(my_item_count));
-    std::copy(data.begin() + static_cast<std::ptrdiff_t>(
-                                 n * static_cast<std::size_t>(doubles_per_result)),
-              data.begin() + static_cast<std::ptrdiff_t>(
-                                 (n + 1) * static_cast<std::size_t>(doubles_per_result)),
-              out.begin() + static_cast<std::ptrdiff_t>(
-                                idx * static_cast<std::size_t>(doubles_per_result)));
-  }
-  return out;
+  AGCM_ASSERT(results.size() == static_cast<std::size_t>(my_item_count) * d);
+  return results;
 }
 
 }  // namespace agcm::lb

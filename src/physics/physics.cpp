@@ -103,27 +103,14 @@ PhysicsStepStats Physics::step(dynamics::State& state) {
 
   // --- load-balanced pass (configured scheme) ----------------------------
   // All three executors return the same BalanceResult shape, and
-  // return_to_owners below routes by held origins, so everything from the
+  // return_to_owners below replays its hop log, so everything from the
   // held-column compute on is scheme-agnostic.
   const double t_bal0 = clock.now();
   lb::BalanceResult balanced;
   {
     AGCM_TRACE_SPAN("physics.balance", ctx);
-    switch (config_.lb_scheme) {
-      case lb::Scheme::kCyclic:
-        balanced =
-            lb::balance_cyclic(mesh_->world(), items, payloads, per_item);
-        break;
-      case lb::Scheme::kSortedGreedy:
-        balanced = lb::balance_sorted_greedy(mesh_->world(), items, payloads,
-                                             per_item);
-        break;
-      case lb::Scheme::kNone:  // handled above; kept for -Wswitch
-      case lb::Scheme::kPairwise:
-        balanced = lb::balance_pairwise(mesh_->world(), items, payloads,
-                                        per_item, config_.lb_options);
-        break;
-    }
+    balanced = lb::balance(mesh_->world(), config_.lb_scheme, items, payloads,
+                           per_item, config_.lb_options);
   }
   stats.imbalance_before = balanced.imbalance_before;
   stats.imbalance_after = balanced.imbalance_after;

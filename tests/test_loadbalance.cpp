@@ -3,6 +3,9 @@
 // executors, including the result-return round trip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <functional>
 #include <map>
 #include <numeric>
 
@@ -11,6 +14,8 @@
 #include "loadbalance/planner.hpp"
 #include "loadbalance/schemes.hpp"
 #include "simnet/machine.hpp"
+#include "trace/metrics.hpp"
+#include "trace/tracer.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -191,34 +196,236 @@ TEST(Collective, PairwiseBalanceMovesRealPayloads) {
   });
 }
 
-TEST(Collective, ReturnToOwnersRestoresOriginalOrder) {
+/// Item distributions for the round-trip tests.
+enum class Loads {
+  kRandom,    ///< 10+3r items per rank, weights in [0.5, 4)
+  kCoarse,    ///< 2-7 coarse items per rank: items overshoot and move on
+  kUniform,   ///< 12 unit items per rank: already balanced
+};
+
+struct RoundTripCase {
+  const char* name;
+  Scheme scheme;
+  Loads loads;
+  int ranks;
+  int max_iterations;
+};
+
+class ReturnToOwners : public ::testing::TestWithParam<RoundTripCase> {};
+
+TEST_P(ReturnToOwners, RestoresOriginalOrder) {
+  const RoundTripCase& c = GetParam();
   Machine machine(MachineProfile::ideal());
   machine.set_recv_timeout_ms(20'000);
-  const int p = 5;
+  std::atomic<int> moved{0};
+  std::atomic<int> hopped_twice{0};
+  machine.run(c.ranks, [&](RankContext& ctx) {
+    Communicator comm(ctx);
+    const auto me = static_cast<std::uint64_t>(comm.rank());
+    // The coarse seed is one where an item moves on in a later iteration
+    // (asserted below through hopped_twice).
+    Rng rng(c.loads == Loads::kCoarse ? 279 + me : me + 5);
+    int n = 12;
+    if (c.loads == Loads::kRandom) n = 10 + 3 * comm.rank();
+    if (c.loads == Loads::kCoarse) n = 2 + static_cast<int>(rng.uniform_int(6));
+    std::vector<Item> items(static_cast<std::size_t>(n));
+    std::vector<double> payloads;
+    for (int q = 0; q < n; ++q) {
+      double weight = 1.0;
+      if (c.loads == Loads::kRandom) weight = rng.uniform(0.5, 4.0);
+      if (c.loads == Loads::kCoarse) weight = rng.uniform(0.5, 8.0);
+      items[static_cast<std::size_t>(q)] = {
+          me * 100 + static_cast<std::uint64_t>(q), weight};
+      payloads.push_back(1000.0 * comm.rank() + q);
+      payloads.push_back(-0.5 * q);
+    }
+    PairwiseOptions options;
+    options.max_iterations = c.max_iterations;
+    const BalanceResult result =
+        balance(comm, c.scheme, items, payloads, 2, options);
+    // "Process" into three doubles per item, as Physics returns profiles
+    // plus a cost: (2a + 1, b, id).
+    std::vector<double> processed;
+    for (std::size_t q = 0; q < result.held_items.size(); ++q) {
+      processed.push_back(result.held_payloads[2 * q] * 2.0 + 1.0);
+      processed.push_back(result.held_payloads[2 * q + 1]);
+      processed.push_back(static_cast<double>(result.held_items[q].id));
+    }
+    const auto mine = return_to_owners(comm, result, processed, 3, n);
+    ASSERT_EQ(mine.size(), static_cast<std::size_t>(3 * n));
+    for (int q = 0; q < n; ++q) {
+      const auto uq = static_cast<std::size_t>(q);
+      EXPECT_EQ(mine[3 * uq], (1000.0 * comm.rank() + q) * 2.0 + 1.0);
+      EXPECT_EQ(mine[3 * uq + 1], -0.5 * q);
+      EXPECT_EQ(mine[3 * uq + 2], static_cast<double>(items[uq].id));
+    }
+    // An item held here whose owner never shipped to this rank directly
+    // reached it over two or more hops.
+    for (const Item& item : result.held_items) {
+      const auto owner = static_cast<std::size_t>(item.id / 100);
+      if (owner == me) continue;
+      ++moved;
+      bool direct = false;
+      for (const Hop& hop : result.hops) direct |= hop.received[owner] > 0;
+      if (!direct) ++hopped_twice;
+    }
+  });
+  if (c.loads == Loads::kUniform) {
+    EXPECT_EQ(moved.load(), 0);
+  } else {
+    EXPECT_GT(moved.load(), 0);
+  }
+  if (c.loads == Loads::kCoarse) {
+    EXPECT_GT(hopped_twice.load(), 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Executors, ReturnToOwners,
+    ::testing::Values(
+        RoundTripCase{"pairwise", Scheme::kPairwise, Loads::kRandom, 5, 2},
+        RoundTripCase{"cyclic", Scheme::kCyclic, Loads::kRandom, 5, 2},
+        RoundTripCase{"sorted_greedy", Scheme::kSortedGreedy, Loads::kRandom,
+                      5, 2},
+        RoundTripCase{"pairwise_two_hops", Scheme::kPairwise, Loads::kCoarse,
+                      4, 3},
+        RoundTripCase{"pairwise_no_moves", Scheme::kPairwise, Loads::kUniform,
+                      5, 2},
+        RoundTripCase{"sorted_greedy_no_moves", Scheme::kSortedGreedy,
+                      Loads::kUniform, 5, 2}),
+    [](const ::testing::TestParamInfo<RoundTripCase>& info) {
+      return std::string(info.param.name);
+    });
+
+/// Per-rank traffic, indexed by rank.
+struct Traffic {
+  std::vector<double> messages;
+  std::vector<double> bytes;
+};
+
+/// Messages and bytes each rank sent while `program` ran on `p` ranks, from
+/// the comm layer's traffic counters (recorded only while tracing is on).
+Traffic traffic_of(int p, const std::function<void(Communicator&)>& program) {
+  struct TraceOn {
+    explicit TraceOn(int ranks) {
+      trace::set_enabled(true);
+      trace::Tracer::instance().begin_run(ranks);
+      trace::MetricsRegistry::instance().reset();
+    }
+    ~TraceOn() { trace::set_enabled(false); }
+  } on(p);
+  Machine machine(MachineProfile::ideal());
+  machine.set_recv_timeout_ms(60'000);
   machine.run(p, [&](RankContext& ctx) {
     Communicator comm(ctx);
-    const int n = 10 + 3 * comm.rank();
-    std::vector<Item> items(static_cast<std::size_t>(n));
-    std::vector<double> payloads(static_cast<std::size_t>(n));
-    Rng rng(static_cast<std::uint64_t>(comm.rank()) + 5);
-    for (int q = 0; q < n; ++q) {
-      items[static_cast<std::size_t>(q)] = {
-          static_cast<std::uint64_t>(comm.rank()) * 100 +
-              static_cast<std::uint64_t>(q),
-          rng.uniform(0.5, 4.0)};
-      payloads[static_cast<std::size_t>(q)] = 1000.0 * comm.rank() + q;
-    }
-    const BalanceResult result = balance_pairwise(comm, items, payloads, 1);
-    // "Process": result = payload * 2 + 1.
-    std::vector<double> processed(result.held_items.size());
-    for (std::size_t q = 0; q < processed.size(); ++q)
-      processed[q] = result.held_payloads[q] * 2.0 + 1.0;
-    const auto mine = return_to_owners(comm, result, processed, 1, n);
-    ASSERT_EQ(static_cast<int>(mine.size()), n);
-    for (int q = 0; q < n; ++q)
-      EXPECT_DOUBLE_EQ(mine[static_cast<std::size_t>(q)],
-                       (1000.0 * comm.rank() + q) * 2.0 + 1.0);
+    program(comm);
   });
+  Traffic out{std::vector<double>(static_cast<std::size_t>(p), 0.0),
+              std::vector<double>(static_cast<std::size_t>(p), 0.0)};
+  const auto& metrics = trace::MetricsRegistry::instance();
+  for (const auto& [rank, n] : metrics.per_rank("comm.messages_sent"))
+    out.messages[static_cast<std::size_t>(rank)] = n;
+  for (const auto& [rank, n] : metrics.per_rank("comm.bytes_sent"))
+    out.bytes[static_cast<std::size_t>(rank)] = n;
+  return out;
+}
+
+/// 20 day/night-weighted items per rank with two payload doubles each.
+void make_items(const Communicator& comm, std::vector<Item>& items,
+                std::vector<double>& payloads) {
+  Rng rng(static_cast<std::uint64_t>(comm.rank()) * 7 + 3);
+  const double base = rng.uniform() < 0.5 ? 3.0 : 1.0;
+  for (int q = 0; q < 20; ++q) {
+    items.push_back({static_cast<std::uint64_t>(comm.rank() * 100 + q),
+                     base * rng.uniform(0.8, 1.2)});
+    payloads.push_back(static_cast<double>(q));
+    payloads.push_back(static_cast<double>(comm.rank()));
+  }
+}
+
+class PairwiseMessages : public ::testing::TestWithParam<int> {};
+
+TEST_P(PairwiseMessages, BalancePlusReturnIsLinearInIterations) {
+  // Scheme 3's point (Figure 6): per iteration a rank either ships items
+  // and payloads to its partner or gets results back from it, so it sends
+  // at most two messages per iteration besides the load allgather.
+  const int p = GetParam();
+  std::size_t allgathers = 0;
+  int iterations = 0;
+  double before = 0.0;
+  double after = 0.0;
+  const Traffic lb = traffic_of(p, [&](Communicator& comm) {
+    std::vector<Item> items;
+    std::vector<double> payloads;
+    make_items(comm, items, payloads);
+    const BalanceResult held = balance_pairwise(comm, items, payloads, 2);
+    const auto home = return_to_owners(comm, held, held.held_payloads, 2,
+                                       static_cast<int>(items.size()));
+    EXPECT_EQ(home, payloads);
+    if (comm.rank() == 0) {
+      allgathers = held.imbalance_history.size();
+      iterations = held.iterations;
+      before = held.imbalance_before;
+      after = held.imbalance_after;
+    }
+  });
+  ASSERT_GT(iterations, 0);
+  EXPECT_LT(after, before);
+  const Traffic gathers = traffic_of(p, [&](Communicator& comm) {
+    const std::vector<int> ones(static_cast<std::size_t>(p), 1);
+    const double load = 1.0;
+    for (std::size_t a = 0; a < allgathers; ++a)
+      comm.allgatherv<double>(std::span<const double>(&load, 1), ones);
+  });
+  for (int r = 0; r < p; ++r) {
+    const auto ur = static_cast<std::size_t>(r);
+    EXPECT_LE(lb.messages[ur] - gathers.messages[ur], 2.0 * iterations)
+        << "rank " << r << " of " << p;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RankCounts, PairwiseMessages,
+                         ::testing::Values(16, 64, 240));
+
+TEST(Collective, CyclicReturnIsOnePayloadExchange) {
+  // Scheme 1's return replays its forward shuffle: one message per forward
+  // payload message, carrying result doubles only (no count or index ints).
+  const int p = 16;
+  const int per_result = 3;
+  std::vector<BalanceResult> held(static_cast<std::size_t>(p));
+  const auto run = [&](bool return_home) {
+    return traffic_of(p, [&](Communicator& comm) {
+      std::vector<Item> items;
+      std::vector<double> payloads;
+      make_items(comm, items, payloads);
+      BalanceResult& mine = held[static_cast<std::size_t>(comm.rank())];
+      mine = balance_cyclic(comm, items, payloads, 2);
+      if (!return_home) return;
+      const std::vector<double> results(
+          mine.held_items.size() * static_cast<std::size_t>(per_result), 1.0);
+      return_to_owners(comm, mine, results, per_result,
+                       static_cast<int>(items.size()));
+    });
+  };
+  const Traffic forward = run(false);
+  const Traffic both = run(true);
+  for (int r = 0; r < p; ++r) {
+    const auto ur = static_cast<std::size_t>(r);
+    ASSERT_EQ(held[ur].hops.size(), 1u);
+    const Hop& hop = held[ur].hops[0];
+    // Forward payload messages this rank received = return messages it
+    // sends; results of its received items are all it sends back.
+    const auto payload_msgs = static_cast<double>(std::count_if(
+        hop.received.begin(), hop.received.end(), [](int n) { return n > 0; }));
+    const double received =
+        std::accumulate(hop.received.begin(), hop.received.end(), 0.0);
+    EXPECT_EQ(payload_msgs, p - 1.0);
+    EXPECT_EQ(both.messages[ur] - forward.messages[ur], payload_msgs)
+        << "rank " << r;
+    EXPECT_EQ(both.bytes[ur] - forward.bytes[ur],
+              received * per_result * sizeof(double))
+        << "rank " << r;
+  }
 }
 
 TEST(Collective, CyclicExecutorBalancesCounts) {
@@ -273,7 +480,17 @@ TEST(Collective, MigrationRoutesPayloadsWithItems) {
               (comm.rank() + 2) % 3);
     EXPECT_DOUBLE_EQ(result.held_payloads[0],
                      static_cast<double>((comm.rank() + 2) % 3));
-    EXPECT_EQ(result.held_origins[0].rank, (comm.rank() + 2) % 3);
+    // One hop: position 0 shipped to the next rank, one item received from
+    // the previous one.
+    ASSERT_EQ(result.hops.size(), 1u);
+    const Hop& hop = result.hops[0];
+    EXPECT_EQ(hop.shipped, std::vector<std::size_t>{0});
+    EXPECT_EQ(hop.sent, (std::vector<int>{(comm.rank() + 1) % 3 == 0,
+                                          (comm.rank() + 1) % 3 == 1,
+                                          (comm.rank() + 1) % 3 == 2}));
+    EXPECT_EQ(hop.received, (std::vector<int>{(comm.rank() + 2) % 3 == 0,
+                                              (comm.rank() + 2) % 3 == 1,
+                                              (comm.rank() + 2) % 3 == 2}));
   });
 }
 
