@@ -18,14 +18,14 @@
 //    whole-step relative error < 10%, max < 25%. Any failure exits
 //    non-zero after writing the artefacts.
 //
-// Artefacts: PREDICT_MODEL.json (schema agcm-predict-v1; the machines
-// table, the fitted per-phase composition trees, the holdout table with
-// both predicted and actual component times, and the gate verdicts) plus
-// the usual BENCH_predict_model.json mirror. Both are insertion-ordered
-// with shortest-exact numbers, so byte-identical across runs — CI diffs
-// them against committed baselines via tools/perf_diff.py and re-runs the
-// bench to prove byte-identity. tools/predict.py --selftest re-evaluates
-// the holdout block with its pure-Python mirror of the drivers.
+// Artefacts: PREDICT_MODEL.json (schema agcm-predict-v1; the fitted
+// per-phase composition trees, the holdout table with both predicted and
+// actual component times, and the gate verdicts) plus the usual
+// BENCH_predict_model.json mirror. Both are insertion-ordered with
+// shortest-exact numbers, so byte-identical across runs — CI diffs them
+// against committed baselines via tools/perf_diff.py and re-runs the bench
+// to prove byte-identity. tests/test_perfmodel.cpp re-evaluates the
+// committed baseline's holdout block through perfmodel::predict.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -175,32 +175,7 @@ int main(int argc, char** argv) {
     observations.push_back(
         core::observation_from(train_configs[i], train_reports[i]));
 
-  perfmodel::PredictModel model = perfmodel::train_model(observations);
-
-  // The machines table is built from the training observations; register
-  // the remaining factory profiles too so the serialised model can answer
-  // what-if questions about machines the sweep never ran (the drivers
-  // carry the scalars, the fitted weights are machine-free).
-  for (const auto& profile :
-       {simnet::MachineProfile::intel_paragon(),
-        simnet::MachineProfile::cray_t3d(), simnet::MachineProfile::ibm_sp2(),
-        simnet::MachineProfile::ideal()}) {
-    bool known = false;
-    for (const auto& [name, scalars] : model.machines)
-      if (name == profile.name) known = true;
-    if (known) continue;
-    perfmodel::MachineScalars scalars;
-    scalars.flops_per_sec = profile.flops_per_sec;
-    scalars.mem_bytes_per_sec = profile.mem_bytes_per_sec;
-    scalars.msg_latency_sec = profile.msg_latency_sec;
-    scalars.link_bytes_per_sec = profile.link_bytes_per_sec;
-    scalars.send_overhead_sec = profile.send_overhead_sec;
-    scalars.recv_overhead_sec = profile.recv_overhead_sec;
-    scalars.loop_startup_elems = profile.loop_startup_elems;
-    model.machines.emplace_back(profile.name, scalars);
-  }
-  std::sort(model.machines.begin(), model.machines.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  const perfmodel::PredictModel model = perfmodel::train_model(observations);
 
   print_note("\nFitted phase predictors:");
   for (const perfmodel::PhasePredictor& p : model.phases)

@@ -14,6 +14,7 @@
 #include "bench_common.hpp"
 #include "comm/mesh2d.hpp"
 #include "dynamics/dynamics.hpp"
+#include "filter/bank_cache.hpp"
 #include "filter/variants.hpp"
 #include "simnet/machine.hpp"
 
@@ -42,9 +43,9 @@ double measure_filter(const simnet::MachineProfile& machine_profile,
     const grid::Decomp2D decomp(144, 90, mesh_spec.rows, mesh_spec.cols);
     const auto box = decomp.box(mesh.coord());
 
-    const filter::FilterBank bank(grid,
-                                  dynamics::Dynamics::filtered_variables());
-    auto filter = filter::make_filter(algorithm, mesh, decomp, bank);
+    const auto bank =
+        filter::shared_bank(grid, dynamics::Dynamics::filtered_variables());
+    auto filter = filter::make_filter(algorithm, mesh, decomp, *bank);
 
     dynamics::State state(box, nlev);
     dynamics::initialize_state(state, grid, box, 1996);

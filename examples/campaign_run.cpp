@@ -13,18 +13,26 @@
 //   $ ./campaign_run ../configs/campaign_smoke.cfg \
 //        --predict PREDICT_MODEL.json --budget 1200 --out results.jsonl
 //
+// --predict with --list is the what-if: it prints every planned cell's
+// per-phase forecast and runs nothing. A plain run spec is a one-cell
+// campaign, so the same command answers for a single configuration:
+//
+//   $ ./campaign_run ../configs/t3d_240nodes.cfg --predict MODEL.json --list
+//
 // Flags:
 //   --out <path>        store file (default: campaign_results.jsonl)
 //   --concurrency <N>   experiments in flight at once (default 4)
 //   --append            append to the store instead of replacing it
 //   --no-wall           omit wall_sec from records (byte-stable store)
-//   --list              print the expanded matrix and exit without running
+//   --list              print the expanded matrix (with --predict: each
+//                       cell's forecast) and exit without running
 //   --predict <path>    PREDICT_MODEL.json; plan admission and record
 //                       predictions alongside actuals
 //   --budget <sec>      predicted virtual sec/day cap (requires --predict)
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include "campaign/matrix.hpp"
 #include "campaign/planner.hpp"
@@ -36,6 +44,25 @@
 #include "util/logging.hpp"
 
 namespace {
+
+void print_forecast(const agcm::campaign::Campaign& matrix,
+                    const agcm::campaign::PlannedCell& planned,
+                    const char* tag) {
+  const agcm::campaign::Cell& cell = matrix.cells[planned.index];
+  const agcm::perfmodel::Prediction& p = planned.prediction;
+  std::printf("  %s  %s%s\n", cell.config_hash.c_str(), cell.name.c_str(),
+              tag);
+  const std::pair<const char*, double> phases[] = {
+      {"filter", p.filter},
+      {"halo", p.halo},
+      {"fd", p.fd},
+      {"physics_compute", p.physics_compute},
+      {"physics_balance", p.physics_balance}};
+  for (const auto& [phase, sec] : phases)
+    std::printf("      %-16s %.6e s/step\n", phase, sec);
+  std::printf("      %-16s %.6e s/step = %.3f virtual s/day\n", "total",
+              p.total(), planned.predicted_per_day_sec);
+}
 
 int usage(const char* prog) {
   std::fprintf(stderr,
@@ -97,7 +124,7 @@ int main(int argc, char** argv) {
 
     std::printf("campaign '%s': %zu experiments\n", matrix.name.c_str(),
                 matrix.cells.size());
-    if (list_only) {
+    if (list_only && model_path.empty()) {
       for (const campaign::Cell& cell : matrix.cells)
         std::printf("  %s  %s\n", cell.config_hash.c_str(),
                     cell.name.c_str());
@@ -118,6 +145,13 @@ int main(int argc, char** argv) {
           plan.admitted.size(), plan.skipped.size(),
           plan.admitted_predicted_per_day_sec,
           have_budget ? ", capped" : "");
+      if (list_only) {
+        for (const campaign::PlannedCell& cell : plan.admitted)
+          print_forecast(matrix, cell, "");
+        for (const campaign::PlannedCell& cell : plan.skipped)
+          print_forecast(matrix, cell, "  (over budget)");
+        return 0;
+      }
       for (const campaign::PlannedCell& cell : plan.skipped)
         std::printf("  skipped %s (predicted %.3f s/day)\n",
                     matrix.cells[cell.index].name.c_str(),

@@ -1,8 +1,10 @@
 #include "campaign/planner.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "core/whatif.hpp"
+#include "util/error.hpp"
 
 namespace agcm::campaign {
 
@@ -18,7 +20,12 @@ AdmissionPlan plan_admission(const Campaign& campaign,
     const core::RunSpec& spec = campaign.cells[i].spec;
     PlannedCell cell;
     cell.index = i;
-    cell.prediction = core::predict_config(model, spec.model);
+    try {
+      cell.prediction = core::predict_config(model, spec.model);
+    } catch (const std::invalid_argument& e) {
+      throw ConfigError("cell '" + campaign.cells[i].name +
+                        "' cannot be planned: " + e.what());
+    }
     cell.predicted_per_day_sec =
         cell.prediction.total() * spec.model.steps_per_day();
     cells.push_back(cell);

@@ -42,8 +42,8 @@ struct AdmissionPlan {
 };
 
 /// Plans the campaign under `budget_per_day_sec` (negative = admit all).
-/// Throws std::invalid_argument when the model cannot predict a cell
-/// (e.g. an untrained filter backend in the matrix).
+/// Throws agcm::ConfigError naming the cell when the model cannot predict
+/// it (e.g. an untrained filter backend in the matrix).
 AdmissionPlan plan_admission(const Campaign& campaign,
                              const perfmodel::PredictModel& model,
                              double budget_per_day_sec = -1.0);

@@ -32,8 +32,7 @@ int block_size(int n, int p, int b) {
 }
 
 /// grid::LatLonGrid::lat_center(j) in degrees, same operation order so the
-/// poleward test below agrees bit-for-bit with grid/latlon.cpp (and with
-/// the mirror in tools/predict.py).
+/// poleward test below agrees bit-for-bit with grid/latlon.cpp.
 double lat_center_deg(int j, int nlat) {
   const double dlat = std::numbers::pi / nlat;
   const double lat = -0.5 * std::numbers::pi + (j + 0.5) * dlat;

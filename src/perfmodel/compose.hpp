@@ -35,7 +35,7 @@
 // Everything is pure arithmetic over the inputs: deterministic, no global
 // state, no host timing. JSON round-trips through trace::JsonValue so a
 // fitted tree is a portable artefact (PREDICT_MODEL.json, schema
-// agcm-predict-v1) that tools/predict.py can re-evaluate out of process.
+// agcm-predict-v1) that predict.hpp's load_model reads back.
 #pragma once
 
 #include <string>
@@ -48,9 +48,9 @@ namespace agcm::perfmodel {
 
 /// One prediction coordinate: everything a driver may consult. The machine
 /// scalars duplicate simnet::MachineProfile's message/compute parameters on
-/// purpose — perfmodel sits below simnet in the layering, and carrying the
-/// scalars keeps a serialised model self-contained for out-of-process
-/// evaluation.
+/// purpose — perfmodel sits below simnet in the layering, so a Point
+/// carries the scalars itself (core::point_from copies them from the
+/// config's profile).
 struct Point {
   int nlon = 144;
   int nlat = 90;
@@ -63,7 +63,7 @@ struct Point {
   int lb_rounds = 0;
   bool lb_enabled = false;
 
-  std::string machine;         ///< profile name (key into the model's table)
+  std::string machine;         ///< profile name (a label only)
   std::string filter_backend;  ///< filter::algorithm_name token
 
   // Machine scalars (simnet::MachineProfile subset the drivers use).

@@ -4,6 +4,8 @@
 #include <map>
 #include <stdexcept>
 
+#include "util/error.hpp"
+
 namespace agcm::perfmodel {
 
 double PhasePredictor::evaluate_at(const Point& point) const {
@@ -113,27 +115,6 @@ std::string lb_selector(bool lb_enabled) {
 PredictModel train_model(const std::vector<Observation>& observations) {
   PredictModel model;
 
-  // Machines table: first observation per profile name wins (scalars are
-  // identical for equal names by construction); sorted for determinism.
-  for (const Observation& obs : observations) {
-    const Point& p = obs.point;
-    bool known = false;
-    for (const auto& [name, scalars] : model.machines)
-      if (name == p.machine) known = true;
-    if (known) continue;
-    MachineScalars scalars;
-    scalars.flops_per_sec = p.flops_per_sec;
-    scalars.mem_bytes_per_sec = p.mem_bytes_per_sec;
-    scalars.msg_latency_sec = p.msg_latency_sec;
-    scalars.link_bytes_per_sec = p.link_bytes_per_sec;
-    scalars.send_overhead_sec = p.send_overhead_sec;
-    scalars.recv_overhead_sec = p.recv_overhead_sec;
-    scalars.loop_startup_elems = p.loop_startup_elems;
-    model.machines.emplace_back(p.machine, scalars);
-  }
-  std::sort(model.machines.begin(), model.machines.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
   // Group observations per (phase, selector). std::map keeps group order
   // deterministic (sorted keys), independent of observation order.
   std::map<std::pair<std::string, std::string>, std::vector<std::size_t>>
@@ -219,20 +200,6 @@ trace::JsonValue model_to_json(const PredictModel& model) {
   trace::JsonValue doc = trace::JsonValue::object();
   doc.set("schema", kPredictSchema);
 
-  trace::JsonValue machines = trace::JsonValue::object();
-  for (const auto& [name, s] : model.machines) {
-    trace::JsonValue m = trace::JsonValue::object();
-    m.set("flops_per_sec", s.flops_per_sec);
-    m.set("mem_bytes_per_sec", s.mem_bytes_per_sec);
-    m.set("msg_latency_sec", s.msg_latency_sec);
-    m.set("link_bytes_per_sec", s.link_bytes_per_sec);
-    m.set("send_overhead_sec", s.send_overhead_sec);
-    m.set("recv_overhead_sec", s.recv_overhead_sec);
-    m.set("loop_startup_elems", s.loop_startup_elems);
-    machines.set(name, m);
-  }
-  doc.set("machines", machines);
-
   trace::JsonValue phases = trace::JsonValue::array();
   for (const PhasePredictor& p : model.phases) {
     trace::JsonValue entry = trace::JsonValue::object();
@@ -258,29 +225,6 @@ PredictModel model_from_json(const trace::JsonValue& doc) {
                                 std::string(kPredictSchema) + "'");
 
   PredictModel model;
-  const trace::JsonValue* machines = doc.find("machines");
-  if (!machines || !machines->is_object())
-    throw std::invalid_argument("predict model JSON: missing machines table");
-  for (const auto& [name, m] : machines->members()) {
-    const auto scalar = [&](const char* key) {
-      const trace::JsonValue* v = m.find(key);
-      if (!v || !v->is_number())
-        throw std::invalid_argument(
-            std::string("predict model JSON: machine '") + name +
-            "' missing '" + key + "'");
-      return v->as_number();
-    };
-    MachineScalars s;
-    s.flops_per_sec = scalar("flops_per_sec");
-    s.mem_bytes_per_sec = scalar("mem_bytes_per_sec");
-    s.msg_latency_sec = scalar("msg_latency_sec");
-    s.link_bytes_per_sec = scalar("link_bytes_per_sec");
-    s.send_overhead_sec = scalar("send_overhead_sec");
-    s.recv_overhead_sec = scalar("recv_overhead_sec");
-    s.loop_startup_elems = scalar("loop_startup_elems");
-    model.machines.emplace_back(name, s);
-  }
-
   const trace::JsonValue* phases = doc.find("phases");
   if (!phases || !phases->is_array())
     throw std::invalid_argument("predict model JSON: missing phases array");
@@ -324,9 +268,12 @@ PredictModel load_model(const std::string& path) {
   const std::optional<trace::JsonValue> doc =
       trace::JsonValue::parse(trace::read_text_file(path), &error);
   if (!doc)
-    throw std::invalid_argument("cannot parse predict model '" + path +
-                                "': " + error);
-  return model_from_json(*doc);
+    throw DataError("cannot parse predict model '" + path + "': " + error);
+  try {
+    return model_from_json(*doc);
+  } catch (const std::invalid_argument& e) {
+    throw DataError("cannot load predict model '" + path + "': " + e.what());
+  }
 }
 
 trace::JsonValue prediction_json(const Prediction& p) {

@@ -4,16 +4,17 @@
 //
 // A PredictModel holds one fitted composition tree per (phase, selector)
 // pair — filter trees are keyed by the backend token, the physics trees by
-// whether load balancing is on — plus a table of known machine profiles so
-// a serialised model is self-contained. predict() assembles the paper's
+// whether load balancing is on. The fitted weights are machine-free: every
+// Point carries its own machine scalars. predict() assembles the paper's
 // five component times at any Point and the whole-step total is their sum
 // (the component boundaries are barriers, so phases compose by
 // `sequence`).
 //
 // The serialised form is PREDICT_MODEL.json, schema `agcm-predict-v1`
 // (docs/perfmodel.md): deterministic insertion-ordered JSON, written by
-// bench_predict_model, consumed by the tools/predict.py what-if CLI and
-// the campaign admission planner (campaign/planner.hpp).
+// bench_predict_model, consumed by the campaign admission planner
+// (campaign/planner.hpp), which also answers what-if questions through
+// `campaign_run --predict MODEL.json --list`.
 #pragma once
 
 #include <string>
@@ -24,18 +25,6 @@
 namespace agcm::perfmodel {
 
 inline constexpr const char* kPredictSchema = "agcm-predict-v1";
-
-/// The machine scalars a serialised model carries per known profile (the
-/// subset of simnet::MachineProfile the drivers consult).
-struct MachineScalars {
-  double flops_per_sec = 1.0e9;
-  double mem_bytes_per_sec = 1.0e9;
-  double msg_latency_sec = 0.0;
-  double link_bytes_per_sec = 1.0e9;
-  double send_overhead_sec = 0.0;
-  double recv_overhead_sec = 0.0;
-  double loop_startup_elems = 0.0;
-};
 
 /// One fitted phase model: a composition tree with fitted leaf weights,
 /// an intercept, and the fit statistics. `selector` scopes it: the filter
@@ -55,10 +44,6 @@ struct PhasePredictor {
 };
 
 struct PredictModel {
-  /// Known machine profiles by name (sorted by name in the serialised
-  /// form); lets tools rebuild a Point from a config token without
-  /// duplicating profile constants.
-  std::vector<std::pair<std::string, MachineScalars>> machines;
   std::vector<PhasePredictor> phases;
 
   /// The predictor for (phase, selector), or nullptr.
@@ -113,8 +98,8 @@ Prediction predict(const PredictModel& model, const Point& point,
 trace::JsonValue model_to_json(const PredictModel& model);
 PredictModel model_from_json(const trace::JsonValue& value);
 
-/// Reads and parses a PREDICT_MODEL.json file; throws on I/O or parse
-/// errors.
+/// Reads and parses a PREDICT_MODEL.json file. I/O, parse and shape
+/// failures throw agcm::DataError naming the file.
 PredictModel load_model(const std::string& path);
 
 /// {"filter_per_step_sec": ..., ..., "total_per_step_sec": ...} — the

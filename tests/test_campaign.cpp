@@ -398,6 +398,28 @@ TEST(CampaignPlanner, OrdersCheapestFirstAndBudgetAdmitsPrefix) {
   EXPECT_EQ(zero.skipped.size(), matrix.cells.size());
 }
 
+TEST(CampaignPlanner, UntrainedBackendIsAConfigErrorNamingTheCell) {
+  const perfmodel::PredictModel model = trained_model();
+  const Campaign matrix = campaign::campaign_from(io::Config::from_string(
+      R"(campaign = untrained
+nlon = 48
+nlat = 30
+nlev = 3
+mesh_rows = 1
+mesh_cols = 1
+filter_algorithm = implicit-zonal
+)"));
+  ASSERT_EQ(matrix.cells.size(), 1u);
+  EXPECT_THROW(campaign::plan_admission(matrix, model), ConfigError);
+  try {
+    campaign::plan_admission(matrix, model);
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find(matrix.cells[0].name),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(CampaignPlanner, RunPlannedAttachesPredictionsDeterministically) {
   const perfmodel::PredictModel model = trained_model();
   const Campaign matrix = small_matrix();

@@ -4,9 +4,15 @@
 // series with a known generating law and checks that model selection
 // recovers the *discrete* complexity class exactly (grid exponents are
 // artefacts, coefficients are not). Verdict strings and report JSON are
-// also deterministic, so they are string-compared directly.
+// also deterministic, so they are string-compared directly. The committed
+// PREDICT_MODEL.json baseline is re-evaluated here too: its stored holdout
+// predictions must come back from load_model + predict.
+#include <algorithm>
 #include <cmath>
+#include <filesystem>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +21,7 @@
 #include "perfmodel/model.hpp"
 #include "perfmodel/predict.hpp"
 #include "perfmodel/report.hpp"
+#include "util/error.hpp"
 
 namespace agcm::perfmodel {
 namespace {
@@ -510,6 +517,59 @@ TEST(PerfPredict, PhaseSkeletonsExistForEveryBackendAndRejectUnknown) {
   }
   EXPECT_THROW(phase_skeleton("filter", "no-such-backend"),
                std::invalid_argument);
+}
+
+TEST(PerfPredict, LoadModelReportsMalformedFilesAsDataError) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "agcm_bad_predict_model.json")
+          .string();
+  for (const char* text :
+       {"{\"schema\":\"nope\"}",    // wrong schema
+        "{\"schema\":",               // truncated document
+        R"({"schema":"agcm-predict-v1","phases":[{"phase":"fd"}]})"}) {
+    trace::write_text_file(path, text);
+    EXPECT_THROW(load_model(path), DataError) << text;
+  }
+  std::filesystem::remove(path);
+  EXPECT_THROW(load_model(path), DataError);  // missing file
+}
+
+TEST(PerfPredict, CommittedModelReproducesItsStoredHoldoutPredictions) {
+  const std::string path =
+      std::string(AGCM_SOURCE_DIR) + "/bench/baselines/PREDICT_MODEL.json";
+  const PredictModel model = load_model(path);
+  std::string error;
+  const std::optional<trace::JsonValue> doc =
+      trace::JsonValue::parse(trace::read_text_file(path), &error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  const trace::JsonValue* holdout = doc->find("holdout");
+  ASSERT_NE(holdout, nullptr);
+  ASSERT_GE(holdout->items().size(), 8u);
+
+  // 1e-9 relative: the cross-compiler FMA allowance perf_diff.py applies
+  // to the same numbers.
+  constexpr double kRtol = 1e-9;
+  for (const trace::JsonValue& entry : holdout->items()) {
+    const std::string name = entry.find("name")->as_string();
+    const Prediction mine =
+        predict(model, point_from_json(*entry.find("point")),
+                entry.find("filter_enabled")->as_bool(),
+                entry.find("physics_enabled")->as_bool());
+    const trace::JsonValue mine_json = prediction_json(mine);
+    const trace::JsonValue* stored = entry.find("predicted");
+    ASSERT_NE(stored, nullptr) << name;
+    for (const char* key :
+         {"filter_per_step_sec", "halo_per_step_sec", "fd_per_step_sec",
+          "physics_compute_per_step_sec", "physics_balance_per_step_sec",
+          "total_per_step_sec"}) {
+      ASSERT_NE(stored->find(key), nullptr) << name << " " << key;
+      const double want = stored->find(key)->as_number();
+      const double got = mine_json.find(key)->as_number();
+      const double scale = std::max({std::abs(want), std::abs(got), 1e-300});
+      EXPECT_LE(std::abs(got - want) / scale, kRtol)
+          << name << " " << key << ": stored " << want << ", got " << got;
+    }
+  }
 }
 
 }  // namespace

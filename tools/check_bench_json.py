@@ -426,20 +426,8 @@ def check_node(path: str, where: str, node: object) -> None:
 
 def check_predict_model(path: str, doc: dict) -> str:
     """PREDICT_MODEL.json (agcm-predict-v1, written by bench_predict_model
-    and consumed by tools/predict.py and the campaign planner)."""
-    machines = doc.get("machines")
-    if not isinstance(machines, dict) or not machines:
-        fail(path, "'machines' must be a non-empty object")
-    scalar_keys = ("flops_per_sec", "mem_bytes_per_sec", "msg_latency_sec",
-                   "link_bytes_per_sec", "send_overhead_sec",
-                   "recv_overhead_sec", "loop_startup_elems")
-    for name, scalars in machines.items():
-        if not isinstance(scalars, dict):
-            fail(path, f"machines[{name!r}] must be an object")
-        for key in scalar_keys:
-            value = scalars.get(key)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                fail(path, f"machines[{name!r}].{key} must be a number")
+    and consumed by the campaign planner: campaign_run --predict, whose
+    --list mode is the what-if)."""
     phases = doc.get("phases")
     if not isinstance(phases, list) or not phases:
         fail(path, "'phases' must be a non-empty list")
@@ -466,8 +454,8 @@ def check_predict_model(path: str, doc: dict) -> str:
         fail(path, "'gates' must be a list")
     if "all_pass" in doc and not isinstance(doc["all_pass"], bool):
         fail(path, "'all_pass' must be bool")
-    return (f"predict model: {len(machines)} machine(s), {len(phases)} "
-            f"phase predictor(s), {len(holdout or [])} holdout(s), "
+    return (f"predict model: {len(phases)} phase predictor(s), "
+            f"{len(holdout or [])} holdout(s), "
             f"all_pass={doc.get('all_pass')}")
 
 

@@ -187,7 +187,7 @@ def summarize(path):
                 str(entry.get("n_train", 0)),
                 ", ".join(terms) if terms else "(intercept only)",
             ])
-        print(f"{path}: {schema}, {len(doc.get('machines', {}))} machine(s)")
+        print(f"{path}: {schema}")
         print_table(rows, ["phase", "selector", "r2", "rmse", "n", "terms"])
         gates = doc.get("gates", [])
         if gates:
