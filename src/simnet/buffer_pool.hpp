@@ -10,13 +10,21 @@
 // steady-state communication hot path performs zero heap allocations
 // (tests/test_comm_alloc.cpp proves it with an operator-new hook).
 //
+// Free storage is filed by power-of-two size class, floor(log2(capacity)),
+// one LIFO stack per class, with a bitmask of the non-empty classes. An
+// acquire is therefore O(1) whatever the freelist length: one mask, one
+// bit scan and one pop, under the pool mutex.
+//
 // Lifetime rule: a pooled Buffer must not outlive the Network whose pool it
 // came from (in practice: don't let Buffers escape the SPMD program passed
 // to Machine::run). Unpooled Buffers (Buffer::unpooled) own their storage
 // outright and are used by tests and tooling that have no Network.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <mutex>
 #include <span>
 #include <utility>
@@ -85,66 +93,60 @@ class Buffer {
   std::vector<std::byte> storage_;
 };
 
-/// Thread-safe LIFO freelist of byte vectors with growth-only capacity.
-/// Shared by every rank of a Network: a payload acquired by the sender is
-/// released back by whichever rank's handle dies last.
+/// Thread-safe freelist of byte vectors with growth-only capacity, kept
+/// as one LIFO stack per power-of-two size class. Shared by every rank of
+/// a Network: a payload acquired by the sender is released back by
+/// whichever rank's handle dies last.
 class BufferPool {
  public:
   BufferPool() = default;
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
-  /// Hands out a buffer of exactly `bytes` logical size. Best-fit reuse:
-  /// the smallest free storage whose capacity already covers the request,
-  /// so small messages never steal large buffers from large ones (a LIFO
-  /// pool would, and the large request would then have to grow a small
-  /// vector — a heap allocation in the steady state). When nothing fits,
-  /// the largest free storage is grown instead, which converges fastest:
-  /// capacities only ever ratchet upward.
+  /// Hands out a buffer of exactly `bytes` logical size in O(1). Best-fit
+  /// at class granularity: a request of class ceil(log2(bytes)) pops the
+  /// smallest non-empty class at or above it, so small messages never
+  /// steal large buffers while a fitting smaller one is free (the large
+  /// request would then have to grow a small vector: a heap allocation in
+  /// the steady state). When nothing fits, the storage of the largest
+  /// non-empty class is grown instead, so capacities only ever ratchet
+  /// upward. A fresh or grown storage reserves the whole class size,
+  /// 2^ceil(log2(bytes)), so a repeated size is always served from its
+  /// own class.
   Buffer acquire(std::size_t bytes) {
+    const int want = ceil_class(bytes);
     std::vector<std::byte> storage;
     {
       std::lock_guard lock(mutex_);
-      if (!free_.empty()) {
-        std::size_t best = free_.size();
-        for (std::size_t q = 0; q < free_.size(); ++q) {
-          const std::size_t cap = free_[q].capacity();
-          if (cap >= bytes &&
-              (best == free_.size() || cap < free_[best].capacity())) {
-            best = q;
-          }
-        }
-        if (best == free_.size()) {  // nothing fits: grow the largest
-          best = 0;
-          for (std::size_t q = 1; q < free_.size(); ++q)
-            if (free_[q].capacity() > free_[best].capacity()) best = q;
-        }
-        storage = std::move(free_[best]);
-        free_[best] = std::move(free_.back());  // swap-remove, no realloc
-        free_.pop_back();
+      if (nonempty_ != 0) {
+        const std::uint64_t fits = nonempty_ & (~std::uint64_t{0} << want);
+        storage = pop(fits != 0 ? std::countr_zero(fits)
+                                : std::bit_width(nonempty_) - 1);
         ++reuses_;
       } else {
         ++misses_;
       }
       ++outstanding_;
     }
-    storage.resize(bytes);  // grows capacity only beyond this storage's peak
+    if (bytes > storage.capacity()) storage.reserve(std::size_t{1} << want);
+    storage.resize(bytes);
     return Buffer(this, std::move(storage));
   }
 
-  /// Pre-populates the freelist with `count` storages of `bytes` capacity.
+  /// Pre-populates the freelist with `count` storages that each serve a
+  /// `bytes` request (capacity rounded up to the class size).
   /// Optional: pools self-warm after a few sweeps anyway, but a prewarmed
   /// pool covering the workload's peak concurrency is allocation-free from
   /// the very first message (tests/test_comm_alloc.cpp uses this to make
   /// the zero-allocation assertion deterministic under any thread
   /// interleaving).
   void prewarm(std::size_t count, std::size_t bytes) {
+    const std::size_t capacity = std::size_t{1} << ceil_class(bytes);
     std::lock_guard lock(mutex_);
-    free_.reserve(free_.size() + count);
     for (std::size_t q = 0; q < count; ++q) {
       std::vector<std::byte> storage;
-      storage.reserve(bytes);
-      free_.push_back(std::move(storage));
+      storage.reserve(capacity);
+      push(std::move(storage));
     }
   }
 
@@ -158,7 +160,7 @@ class BufferPool {
   /// Buffers sitting in the freelist.
   std::size_t free_count() const {
     std::lock_guard lock(mutex_);
-    return free_.size();
+    return free_count_;
   }
   /// acquire() calls served from the freelist.
   std::size_t reuses() const {
@@ -174,15 +176,44 @@ class BufferPool {
  private:
   friend class Buffer;
 
+  static constexpr int kClasses = 64;
+
+  /// Smallest class whose size 2^c covers `bytes`: ceil(log2(bytes)).
+  static int ceil_class(std::size_t bytes) {
+    return bytes <= 1 ? 0 : std::bit_width(bytes - 1);
+  }
+
+  /// Files free storage under floor(log2(capacity)): every storage in
+  /// class c holds at least 2^c bytes. Caller holds `mutex_`.
+  void push(std::vector<std::byte>&& storage) {
+    const std::size_t cap = storage.capacity();
+    const int c = cap == 0 ? 0 : std::bit_width(cap) - 1;
+    free_[c].push_back(std::move(storage));
+    nonempty_ |= std::uint64_t{1} << c;
+    ++free_count_;
+  }
+
+  /// Pops the most recently filed storage of non-empty class `c`. Caller
+  /// holds `mutex_`.
+  std::vector<std::byte> pop(int c) {
+    std::vector<std::byte> storage = std::move(free_[c].back());
+    free_[c].pop_back();
+    if (free_[c].empty()) nonempty_ &= ~(std::uint64_t{1} << c);
+    --free_count_;
+    return storage;
+  }
+
   void release(std::vector<std::byte>&& storage) {
     storage.clear();  // keeps capacity: the whole point of the pool
     std::lock_guard lock(mutex_);
-    free_.push_back(std::move(storage));
+    push(std::move(storage));
     --outstanding_;
   }
 
   mutable std::mutex mutex_;
-  std::vector<std::vector<std::byte>> free_;
+  std::array<std::vector<std::vector<std::byte>>, kClasses> free_;
+  std::uint64_t nonempty_ = 0;  ///< bit c set iff free_[c] is non-empty
+  std::size_t free_count_ = 0;
   std::size_t outstanding_ = 0;
   std::size_t reuses_ = 0;
   std::size_t misses_ = 0;

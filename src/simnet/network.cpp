@@ -26,17 +26,20 @@ std::string describe_pending(const Mailbox& mailbox) {
 
 }  // namespace
 
-Mailbox::Channel& Mailbox::channel(const Key& key) {
+Mailbox::Channel& Mailbox::channel(int src, std::int64_t tag) {
+  AGCM_ASSERT(src >= 0);
+  const auto usrc = static_cast<std::size_t>(src);
   std::lock_guard lock(table_mutex_);
-  auto it = channels_.find(key);
-  if (it == channels_.end()) {
-    it = channels_.emplace(key, std::make_unique<Channel>()).first;
+  if (usrc >= by_src_.size()) by_src_.resize(usrc + 1);
+  std::vector<TaggedChannel>& tags = by_src_[usrc];
+  for (const TaggedChannel& entry : tags) {
+    if (entry.tag == tag) return *entry.channel;
   }
-  return *it->second;
+  return *tags.emplace_back(tag, std::make_unique<Channel>()).channel;
 }
 
 void Mailbox::push(Packet packet) {
-  Channel& ch = channel({packet.src, packet.tag});
+  Channel& ch = channel(packet.src, packet.tag);
   Fiber* waiter = nullptr;
   {
     std::lock_guard lock(ch.mutex);
@@ -65,7 +68,7 @@ void Mailbox::push(Packet packet) {
 }
 
 Packet Mailbox::pop(int src, std::int64_t tag, int timeout_ms) {
-  Channel& ch = channel({src, tag});
+  Channel& ch = channel(src, tag);
 #if AGCM_SIMNET_HAS_FIBERS
   if (Fiber* self = current_fiber()) {
     // Fiber path: park instead of blocking the worker thread. Loop because
@@ -107,9 +110,11 @@ Packet Mailbox::pop(int src, std::int64_t tag, int timeout_ms) {
 std::size_t Mailbox::pending() const {
   std::size_t n = 0;
   std::lock_guard table_lock(table_mutex_);
-  for (const auto& [key, ch] : channels_) {
-    std::lock_guard lock(ch->mutex);
-    n += ch->queue.size();
+  for (const auto& tags : by_src_) {
+    for (const TaggedChannel& entry : tags) {
+      std::lock_guard lock(entry.channel->mutex);
+      n += entry.channel->queue.size();
+    }
   }
   return n;
 }
@@ -118,14 +123,17 @@ std::vector<ChannelInfo> Mailbox::pending_channels() const {
   std::vector<ChannelInfo> out;
   {
     std::lock_guard table_lock(table_mutex_);
-    out.reserve(channels_.size());
-    for (const auto& [key, ch] : channels_) {
-      std::lock_guard lock(ch->mutex);
-      if (!ch->queue.empty()) {
-        out.push_back({key.first, key.second, ch->queue.size()});
+    for (std::size_t src = 0; src < by_src_.size(); ++src) {
+      for (const TaggedChannel& entry : by_src_[src]) {
+        std::lock_guard lock(entry.channel->mutex);
+        if (!entry.channel->queue.empty()) {
+          out.push_back({static_cast<int>(src), entry.tag,
+                         entry.channel->queue.size()});
+        }
       }
     }
   }
+  // Sources come out ascending; tags within a source in first-touch order.
   std::sort(out.begin(), out.end(), [](const ChannelInfo& a,
                                        const ChannelInfo& b) {
     return a.src != b.src ? a.src < b.src : a.tag < b.tag;

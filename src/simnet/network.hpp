@@ -10,9 +10,11 @@
 // The mailbox is sharded: every channel owns its queue, mutex and wakeup
 // slot, so a push wakes exactly the receiver parked on that channel instead
 // of broadcasting to every blocked receiver of the rank, and queue
-// operations never scan or lock unrelated channels. The channel table
-// itself is an unordered_map guarded by a separate mutex that is only held
-// for the O(1) lookup/insert.
+// operations never scan or lock unrelated channels. The channel table is
+// indexed by source rank; each source holds a short list of (tag, channel)
+// entries, one per communicator context and tag it uses. A separate mutex
+// guards the table and is held only for that lookup/insert: one array
+// index plus a scan of a few tags.
 //
 // The wakeup slot is scheduler-integrated: under the fiber backend the
 // blocked receive publishes its Fiber* as the channel's waiter and parks
@@ -30,7 +32,6 @@
 #include <mutex>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "simnet/buffer_pool.hpp"
@@ -114,23 +115,6 @@ class Mailbox {
   std::vector<ChannelInfo> pending_channels() const;
 
  private:
-  using Key = std::pair<int, std::int64_t>;  // (src, tag)
-
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const noexcept {
-      // splitmix64-style mix of the two halves; cheap and collision-free in
-      // practice for the small (src, tag) universes a rank sees.
-      std::uint64_t x = (static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.first)) << 48) ^
-                        static_cast<std::uint64_t>(k.second);
-      x ^= x >> 30;
-      x *= 0xbf58476d1ce4e5b9ULL;
-      x ^= x >> 27;
-      x *= 0x94d049bb133111ebULL;
-      x ^= x >> 31;
-      return static_cast<std::size_t>(x);
-    }
-  };
-
   /// One FIFO channel shard: own lock, own queue, own wakeup. `waiter` is
   /// the fiber-backend wakeup slot (guarded by `mutex`): the parked
   /// receiver, published just before it switches out, cleared by the sender
@@ -143,13 +127,22 @@ class Mailbox {
     PacketRing queue;
   };
 
-  /// Finds or creates the channel shard for `key`. Channels are created on
+  /// One channel of a source, keyed by its wide tag.
+  struct TaggedChannel {
+    std::int64_t tag = 0;
+    std::unique_ptr<Channel> channel;
+  };
+
+  /// Finds or creates the channel shard for (src, tag): one index by source
+  /// plus a scan of the few tags that source uses. Channels are created on
   /// first touch and live for the mailbox's lifetime (stable addresses, so
   /// waiting threads never hold the table lock).
-  Channel& channel(const Key& key);
+  Channel& channel(int src, std::int64_t tag);
 
   mutable std::mutex table_mutex_;
-  std::unordered_map<Key, std::unique_ptr<Channel>, KeyHash> channels_;
+  /// Channels by source rank, each source's in first-touch order. Grows to
+  /// the highest source seen.
+  std::vector<std::vector<TaggedChannel>> by_src_;
 };
 
 /// The whole interconnect: one mailbox per rank, the shared payload buffer

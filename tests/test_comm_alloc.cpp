@@ -1,7 +1,7 @@
 // Allocation-freedom test for the zero-copy pooled transport: after a
 // warm-up sweep, the steady-state communication hot paths — multi-field
-// halo exchange and the filter row-transpose — must not touch the heap
-// (docs/transport.md, "allocation-free steady state").
+// halo exchange, the filter row-transpose and the dense all-to-all — must
+// not touch the heap (docs/transport.md, "allocation-free steady state").
 //
 // The check hooks the global operator new/delete with a counting wrapper,
 // like tests/test_fft_alloc.cpp; it lives in its own binary so the hooks
@@ -24,6 +24,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <vector>
 
 #include "comm/communicator.hpp"
@@ -212,6 +213,64 @@ TEST(CommAllocFree, FilterTransposeAfterWarmup) {
           << (after - before)
           << " heap allocations in the steady-state filter transpose";
     });
+  });
+}
+
+TEST(CommAllocFree, DenseAlltoallvPackedAfterWarmup) {
+  // Scheme 1's payload shape: every rank pair exchanges a bulk block whose
+  // size differs by pair, some sizes sharing a pool size class and some
+  // spanning several. After warm-up neither the pool's class stacks nor a
+  // mailbox's per-source channel index may grow.
+  const int p = 16;
+  auto doubles = [](int src, int dst) {
+    return static_cast<std::size_t>(48 + 29 * ((7 * src + 3 * dst) % 23));
+  };
+  Machine machine(MachineProfile::ideal());
+  machine.set_recv_timeout_ms(20'000);
+  machine.run(p, [&](RankContext& ctx) {
+    Communicator world(ctx);
+    // Peak concurrency per class is at most one buffer per rank pair.
+    if (world.rank() == 0) {
+      for (std::size_t bytes = 256; bytes <= 8192; bytes *= 2)
+        ctx.network().pool().prewarm(p * p, bytes);
+    }
+    const int me = world.rank();
+    std::vector<std::size_t> send_bytes(p), recv_bytes(p);
+    std::vector<std::vector<double>> outgoing(p), incoming(p);
+    for (int r = 0; r < p; ++r) {
+      const auto ur = static_cast<std::size_t>(r);
+      send_bytes[ur] = doubles(me, r) * sizeof(double);
+      recv_bytes[ur] = doubles(r, me) * sizeof(double);
+      outgoing[ur].assign(doubles(me, r), 100.0 * me + r);
+      incoming[ur].resize(doubles(r, me));
+    }
+
+    auto sweep = [&] {
+      world.alltoallv_packed(
+          send_bytes, recv_bytes,
+          [&](int dst, comm::PackedWriter& w) {
+            w.write<double>(outgoing[static_cast<std::size_t>(dst)]);
+          },
+          [&](int src, comm::PackedReader& rd) {
+            rd.read<double>(std::span<double>(
+                incoming[static_cast<std::size_t>(src)]));
+          });
+    };
+
+    for (int it = 0; it < 3; ++it) sweep();
+    gated(world, [] {}, [](std::size_t, std::size_t) {});
+
+    gated(world, sweep, [](std::size_t before, std::size_t after) {
+      EXPECT_EQ(after - before, 0u)
+          << (after - before)
+          << " heap allocations in the steady-state dense alltoallv";
+    });
+    for (int r = 0; r < p; ++r) {
+      const auto& got = incoming[static_cast<std::size_t>(r)];
+      ASSERT_EQ(got.size(), doubles(r, me));
+      EXPECT_EQ(got.front(), 100.0 * r + me);
+      EXPECT_EQ(got.back(), 100.0 * r + me);
+    }
   });
 }
 

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "simnet/fiber.hpp"
 #include "simnet/machine.hpp"
@@ -196,6 +198,100 @@ TEST(Mailbox, PendingChannelsSortedAndCounted) {
   EXPECT_EQ(box.pending(), 4u);
 }
 
+TEST(Mailbox, ChannelIndexBySourceKeepsFifoAndSortedDiagnostics) {
+  // Sources arrive out of order (200 first, so the index grows past ranks
+  // that have no channel yet) and several tags share a source, including
+  // two wide tags from different communicator contexts above 2^32.
+  const std::int64_t wide_a = (std::int64_t{1} << 32) + 7;
+  const std::int64_t wide_b = (std::int64_t{5} << 32) + 7;
+  const std::vector<std::pair<int, std::int64_t>> channels = {
+      {200, 9}, {200, wide_b}, {200, 1}, {3, wide_a}, {3, 4},
+      {3, wide_b}, {0, 2}, {0, 0}};
+  Mailbox box;
+  constexpr int kRounds = 5;
+  for (int round = 0; round < kRounds; ++round) {
+    for (std::size_t c = 0; c < channels.size(); ++c) {
+      box.push(make_packet(std::byte(16 * c + round), channels[c].first,
+                           channels[c].second));
+    }
+  }
+  EXPECT_EQ(box.pending(), channels.size() * kRounds);
+
+  auto sorted = channels;
+  std::sort(sorted.begin(), sorted.end());
+  const auto infos = box.pending_channels();
+  ASSERT_EQ(infos.size(), sorted.size());
+  for (std::size_t c = 0; c < sorted.size(); ++c) {
+    EXPECT_EQ(infos[c].src, sorted[c].first);
+    EXPECT_EQ(infos[c].tag, sorted[c].second);
+    EXPECT_EQ(infos[c].depth, static_cast<std::size_t>(kRounds));
+  }
+
+  // Drain in reverse channel order: each channel stays FIFO on its own.
+  for (std::size_t c = channels.size(); c-- > 0;) {
+    for (int round = 0; round < kRounds; ++round) {
+      EXPECT_EQ(box.pop(channels[c].first, channels[c].second, 1000)
+                    .payload[0],
+                std::byte(16 * c + round));
+    }
+  }
+  EXPECT_EQ(box.pending(), 0u);
+  EXPECT_TRUE(box.pending_channels().empty());
+}
+
+TEST(BufferPool, BestFitBySizeClass) {
+  // A small request must not take the large storage while a fitting smaller
+  // one is free, and a large request takes the storage that covers it.
+  BufferPool pool;
+  pool.prewarm(1, 64 * 1024);
+  pool.prewarm(1, 4 * 1024);
+  Buffer small = pool.acquire(3000);
+  EXPECT_EQ(small.capacity(), 4u * 1024);
+  Buffer large = pool.acquire(40 * 1024);
+  EXPECT_EQ(large.capacity(), 64u * 1024);
+  EXPECT_EQ(pool.reuses(), 2u);
+  EXPECT_EQ(pool.misses(), 0u);
+  EXPECT_EQ(pool.free_count(), 0u);
+}
+
+TEST(BufferPool, GrowsLargestFreeStorageWhenNothingFits) {
+  BufferPool pool;
+  pool.prewarm(1, 1024);
+  pool.prewarm(1, 4096);
+  Buffer big = pool.acquire(10'000);
+  EXPECT_EQ(big.size(), 10'000u);
+  EXPECT_EQ(big.capacity(), 16u * 1024);  // grown to the full class size
+  EXPECT_EQ(pool.reuses(), 1u);
+  EXPECT_EQ(pool.misses(), 0u);
+  // The 4 KiB storage was the one grown: the 1 KiB one is still free.
+  Buffer rest = pool.acquire(512);
+  EXPECT_EQ(rest.capacity(), 1024u);
+  EXPECT_EQ(pool.misses(), 0u);
+}
+
+TEST(BufferPool, FreePlusOutstandingIsConservedAcrossClasses) {
+  BufferPool pool;
+  pool.prewarm(3, 256);
+  pool.prewarm(3, 8192);
+  const std::size_t total = pool.free_count();
+  ASSERT_EQ(total, 6u);
+  std::vector<Buffer> held;
+  const std::size_t sizes[] = {100, 8192, 3000, 256, 20'000, 1, 5000, 64};
+  for (int pass = 0; pass < 3; ++pass) {
+    for (const std::size_t bytes : sizes) {
+      if (held.size() == total) held.erase(held.begin());  // release oldest
+      EXPECT_EQ(pool.free_count() + pool.outstanding(), total);
+      held.push_back(pool.acquire(bytes));
+      EXPECT_EQ(held.back().size(), bytes);
+      EXPECT_EQ(pool.free_count() + pool.outstanding(), total);
+    }
+  }
+  held.clear();
+  EXPECT_EQ(pool.free_count(), total);
+  EXPECT_EQ(pool.outstanding(), 0u);
+  EXPECT_EQ(pool.misses(), 0u);
+}
+
 TEST(BufferPool, RecyclesStorageWithCapacityIntact) {
   BufferPool pool;
   const std::byte* first_data = nullptr;
@@ -314,6 +410,32 @@ TEST(Machine, PayloadStorageRecyclesThroughPool) {
     EXPECT_LE(ctx.network().pool().misses(), 4u);
     EXPECT_GE(ctx.network().pool().reuses(), 8u);
   });
+}
+
+TEST(Machine, RepeatedNonPowerOfTwoSizeCostsOneMiss) {
+  // One 3000 B storage circulates for the whole ping-pong: it is filed
+  // under the class its requests ask for, so it is never grown again.
+  Machine machine(MachineProfile::ideal());
+  std::vector<const std::byte*> seen;
+  machine.run(2, [&](RankContext& ctx) {
+    const int peer = 1 - ctx.rank();
+    const std::vector<std::byte> payload(3000, std::byte{7});
+    for (int iter = 0; iter < 100; ++iter) {
+      if (ctx.rank() == 0) {
+        ctx.send_bytes(peer, 1, payload);
+        seen.push_back(ctx.recv_bytes(peer, 1).data());
+      } else {
+        (void)ctx.recv_bytes(peer, 1);
+        ctx.send_bytes(peer, 1, payload);
+      }
+    }
+    // Rank 0's last receive follows every acquire of the run.
+    if (ctx.rank() == 0) {
+      EXPECT_EQ(ctx.network().pool().misses(), 1u);
+    }
+  });
+  ASSERT_EQ(seen.size(), 100u);
+  for (const std::byte* data : seen) EXPECT_EQ(data, seen.front());
 }
 
 TEST(Machine, VirtualTimeIsDeterministicAcrossRuns) {
