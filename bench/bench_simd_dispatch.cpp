@@ -17,6 +17,8 @@
 //    would measure the memory bus, not the ISA — see docs/kernels.md);
 //  * stencil   — the separate-fields Laplace engine (informational);
 //  * miniblas  — daxpy (bitwise) and ddot (reduction, ulp-bounded);
+//  * conv      — conv_window, the ring filter's chunk convolution at the
+//    original_paragon16 hop shape (36 taps x 36 outputs; bitwise);
 //  * longwave + FFT — the opt-in reduction-family entry points
 //    (longwave_sweep_simd, FftPlan::forward_simd at n=1024 and n=144),
 //    ulp-bounded vs their scalar twins, plus a forced-scalar bitwise
@@ -26,7 +28,8 @@
 // (best-of-N min time, the bench_kernel_engine convention).
 //
 // Acceptance gates (exit 1 on failure, recorded in the BENCH JSON):
-//   * contracted families (advection, pointwise, stencil, daxpy) BITWISE
+//   * contracted families (advection, pointwise, stencil, daxpy,
+//     conv_window) BITWISE
 //     identical to their scalar references on every checked tier;
 //   * reduction families within kMaxUlp of scalar, and bitwise under a
 //     forced-scalar tier;
@@ -326,6 +329,39 @@ PathResult run_ddot(simd::Tier tier, bool dispatch, int reps, int trials) {
   return out;
 }
 
+// --- conv_window (the ring filter's chunk convolution) ----------------------
+
+/// One ring hop on the 4x4 Paragon mesh at 144 longitudes: 36-point source
+/// chunks against 36-point output chunks, one kernel window per latitude
+/// row shared by its nine layers.
+PathResult run_conv_window(simd::Tier tier, int reps, int trials) {
+  constexpr int kTaps = 36, kOut = 36, kRows = 8, kLev = 9;
+  constexpr std::size_t kWin = kTaps + kOut - 1;
+  std::vector<double> src(static_cast<std::size_t>(kRows * kLev * kTaps)),
+      win(kRows * kWin), out(static_cast<std::size_t>(kRows * kLev * kOut));
+  fill_det(src, 163u, 1.0);
+  fill_det(win, 167u, 0.0);
+
+  const ForcedTier forced(tier);
+  const simd::KernelOps& ops = simd::ops();
+  PathResult res;
+  for (int t = 0; t < trials; ++t) {
+    const Stopwatch sw;
+    for (int r = 0; r < reps; ++r) {
+      for (int line = 0; line < kRows * kLev; ++line) {
+        const auto ul = static_cast<std::size_t>(line);
+        ops.conv_window(kTaps, kOut, src.data() + ul * kTaps,
+                        win.data() + (ul / kLev) * kWin,
+                        out.data() + ul * kOut);
+      }
+    }
+    const double sec = sw.seconds();
+    if (t == 0 || sec < res.seconds) res.seconds = sec;
+  }
+  res.fields = out;
+  return res;
+}
+
 // --- longwave (opt-in reduction family) -------------------------------------
 
 PathResult run_longwave(simd::Tier tier, bool dispatch, int nlev, int reps,
@@ -436,6 +472,7 @@ int main(int argc, char** argv) {
   const int pw_reps = g_check_only ? 1 : 8000;
   const int sten_reps = g_check_only ? 1 : 4;
   const int blas_reps = g_check_only ? 1 : 4000;
+  const int conv_reps = g_check_only ? 1 : 2000;
   const int lw_reps = g_check_only ? 1 : 8000;
   const int fft_reps = g_check_only ? 1 : 1000;
   const int trials = g_check_only ? 1 : 7;
@@ -453,6 +490,8 @@ int main(int argc, char** argv) {
       run_daxpy(simd::Tier::kScalar, false, blas_reps, trials);
   const PathResult dot_scalar =
       run_ddot(simd::Tier::kScalar, false, blas_reps, trials);
+  const PathResult conv_scalar =
+      run_conv_window(simd::Tier::kScalar, conv_reps, trials);
   const PathResult lw_scalar =
       run_longwave(simd::Tier::kScalar, false, 64, lw_reps, trials);
   const PathResult fft_scalar =
@@ -471,11 +510,13 @@ int main(int argc, char** argv) {
                     run_fft(simd::Tier::kScalar, true, 144, 2, 1).fields);
 
   // Per-tier runs: bitwise for the contracted families, ulp for reductions.
-  bool adv_bits = true, pw_bits = true, sten_bits = true, daxpy_bits = true;
+  bool adv_bits = true, pw_bits = true, sten_bits = true, daxpy_bits = true,
+       conv_bits = true;
   double ddot_worst = 0.0, lw_worst = 0.0, fft_worst = 0.0;
   struct TierRow {
     simd::Tier tier;
-    double rows_ms, adv_ms, pw_ms, sten_ms, daxpy_ms, ddot_ms, lw_ms, fft_ms;
+    double rows_ms, adv_ms, pw_ms, sten_ms, daxpy_ms, ddot_ms, conv_ms, lw_ms,
+        fft_ms;
   };
   std::vector<TierRow> rows;
   for (simd::Tier tier : tiers) {
@@ -485,6 +526,7 @@ int main(int argc, char** argv) {
     const PathResult sten = run_stencil(tier, true, sten_reps, trials);
     const PathResult axp = run_daxpy(tier, true, blas_reps, trials);
     const PathResult dot = run_ddot(tier, true, blas_reps, trials);
+    const PathResult conv = run_conv_window(tier, conv_reps, trials);
     const PathResult lw = run_longwave(tier, true, 64, lw_reps, trials);
     const PathResult fft1k = run_fft(tier, true, 1024, fft_reps, trials);
     const PathResult fft144 = run_fft(tier, true, 144, fft_reps, trials);
@@ -494,6 +536,7 @@ int main(int argc, char** argv) {
     pw_bits = pw_bits && bitwise_equal(pw_scalar.fields, pw.fields);
     sten_bits = sten_bits && bitwise_equal(sten_seed.fields, sten.fields);
     daxpy_bits = daxpy_bits && bitwise_equal(blas_scalar.fields, axp.fields);
+    conv_bits = conv_bits && bitwise_equal(conv_scalar.fields, conv.fields);
     ddot_worst =
         std::max(ddot_worst, max_ulp(dot_scalar.fields, dot.fields));
     lw_worst = std::max(lw_worst, max_ulp(lw_scalar.fields, lw.fields));
@@ -504,12 +547,14 @@ int main(int argc, char** argv) {
 
     rows.push_back({tier, advr.seconds * 1e3, adv.seconds * 1e3,
                     pw.seconds * 1e3, sten.seconds * 1e3, axp.seconds * 1e3,
-                    dot.seconds * 1e3, lw.seconds * 1e3, fft1k.seconds * 1e3});
+                    dot.seconds * 1e3, conv.seconds * 1e3, lw.seconds * 1e3,
+                    fft1k.seconds * 1e3});
   }
 
   const bool correctness = adv_bits && pw_bits && sten_bits && daxpy_bits &&
-                           forced_scalar_bits && ddot_worst <= kMaxUlpDot &&
-                           lw_worst <= kMaxUlp && fft_worst <= kMaxUlp;
+                           conv_bits && forced_scalar_bits &&
+                           ddot_worst <= kMaxUlpDot && lw_worst <= kMaxUlp &&
+                           fft_worst <= kMaxUlp;
 
   Table bits("Cross-tier correctness vs scalar references",
              {"Family", "Contract", "Result"});
@@ -519,6 +564,7 @@ int main(int argc, char** argv) {
   bits.add_row({"pointwise", "bitwise", verdict(pw_bits)});
   bits.add_row({"stencil separate", "bitwise", verdict(sten_bits)});
   bits.add_row({"daxpy", "bitwise", verdict(daxpy_bits)});
+  bits.add_row({"conv_window", "bitwise", verdict(conv_bits)});
   bits.add_row({"forced-scalar longwave+fft", "bitwise",
                 verdict(forced_scalar_bits)});
   bits.add_row({"ddot", "<= " + Table::num(kMaxUlpDot, 0) + " ulp",
@@ -538,6 +584,7 @@ int main(int argc, char** argv) {
   report.set("pointwise_bitwise_identical", pw_bits);
   report.set("stencil_bitwise_identical", sten_bits);
   report.set("daxpy_bitwise_identical", daxpy_bits);
+  report.set("conv_window_bitwise_identical", conv_bits);
   report.set("forced_scalar_bitwise_identical", forced_scalar_bits);
   report.set("ddot_max_ulp", ddot_worst);
   report.set("longwave_max_ulp", lw_worst);
@@ -549,7 +596,8 @@ int main(int argc, char** argv) {
     Table speed("Per-tier best-of-" + std::to_string(trials) +
                     " host time (ms; speedup vs forced-scalar engine)",
                 {"Tier", "Advect rows", "Advect engine", "Pointwise",
-                 "Stencil", "daxpy", "ddot", "Longwave", "FFT 1024"});
+                 "Stencil", "daxpy", "ddot", "Conv window", "Longwave",
+                 "FFT 1024"});
     const TierRow& base = rows.front();
     auto cell = [&](double ms, double base_ms) {
       return Table::num(ms, 3) + " (" + Table::num(base_ms / ms, 2) + "x)";
@@ -559,7 +607,8 @@ int main(int argc, char** argv) {
                      cell(r.adv_ms, base.adv_ms), cell(r.pw_ms, base.pw_ms),
                      cell(r.sten_ms, base.sten_ms),
                      cell(r.daxpy_ms, base.daxpy_ms),
-                     cell(r.ddot_ms, base.ddot_ms), cell(r.lw_ms, base.lw_ms),
+                     cell(r.ddot_ms, base.ddot_ms),
+                     cell(r.conv_ms, base.conv_ms), cell(r.lw_ms, base.lw_ms),
                      cell(r.fft_ms, base.fft_ms)});
     }
     agcm::bench::emit_table(report, speed);

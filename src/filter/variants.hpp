@@ -31,6 +31,13 @@ class ConvolutionRingFilter final : public PolarFilter {
 
  private:
   void filter_variable(grid::Array3D<double>& field, int v);
+
+  // Growth-only scratch reused across apply() calls (allocation-free
+  // steady state, as in FftTransposeFilter). The output accumulates in
+  // place in the field's own chunks, so it needs no buffer here.
+  std::vector<double> held_;    // the chunks currently passing through
+  std::vector<double> window_;  // one kernel row, unrolled for one hop
+  std::vector<double> hop_;     // one line's partial sum over one hop
 };
 
 /// Convolution with tree-based line gathering: whole lines are allgathered

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 
 #include "kernels/simd/kernels.hpp"
 
@@ -15,13 +16,17 @@ namespace {
 constexpr const char* kTierNames[] = {"scalar", "avx2", "avx512"};
 
 constexpr const char* kFamilyNames[] = {
-    "flux_row",      "advect_update_row", "stencil7_interior",
-    "pointwise_panel", "daxpy",           "ddot",
-    "longwave_exchange", "fft_radix2",    "fft_radix4"};
+    "flux_row",          "advect_update_row", "stencil7_interior",
+    "pointwise_panel",   "daxpy",             "conv_window",
+    "ddot",              "longwave_exchange", "fft_radix2",
+    "fft_radix4"};
+static_assert(std::size(kFamilyNames) == kFamilyCount);
 
-constexpr bool kFamilyContracted[] = {
-    true,  true,  true,  true,  true,   // flux/update/stencil/pointwise/daxpy
-    false, false, false, false};        // ddot/longwave/radix2/radix4
+// flux/update/stencil/pointwise/daxpy/conv_window, then
+// ddot/longwave/radix2/radix4.
+constexpr bool kFamilyContracted[] = {true,  true,  true,  true,  true,
+                                      true,  false, false, false, false};
+static_assert(std::size(kFamilyContracted) == kFamilyCount);
 
 const KernelOps* tier_table(Tier t) {
   switch (t) {
@@ -138,6 +143,16 @@ bool check_family(Family f, const KernelOps& cand, const KernelOps& ref) {
         ref.daxpy(static_cast<std::size_t>(n), 1.375, a + kPad, o1 + kPad);
         cand.daxpy(static_cast<std::size_t>(n), 1.375, a + kPad, o2 + kPad);
         break;
+      case Family::kConvWindow: {
+        // n taps against kMax + 1 - n outputs: the window is kMax long.
+        // Its taps carry full mantissas; with dyadic taps every product
+        // and partial sum would be exact and hide a reordered sum.
+        double w[kBuf];
+        for (int i = 0; i < kBuf; ++i) w[i] = b[i] / 3.0;
+        ref.conv_window(n, kMax + 1 - n, a, w, o1 + kPad);
+        cand.conv_window(n, kMax + 1 - n, a, w, o2 + kPad);
+        break;
+      }
       default:
         return true;  // reduction families: ulp contract, never checked
     }
@@ -150,6 +165,17 @@ struct State {
   DispatchInfo info;
   KernelOps ops;
 };
+
+/// Points `slot` back at the scalar kernel (and records the demotion) when
+/// the tier's `family` kernel does not reproduce the scalar bits.
+template <class Fn>
+void demote_on_mismatch(State& st, Family family, Fn KernelOps::*slot,
+                        const KernelOps& table) {
+  const KernelOps& scalar = detail::scalar_ops();
+  if (check_family(family, table, scalar)) return;
+  st.ops.*slot = scalar.*slot;
+  st.info.demoted_families.emplace_back(family_name(family));
+}
 
 /// Builds the table for `tier`, self-checking every contracted family and
 /// demoting mismatches to scalar.
@@ -166,29 +192,16 @@ void apply_tier(State& st, Tier tier) {
   }
   // Check each contracted family; on mismatch, point that slot back at the
   // scalar kernel (the rest of the tier stays active).
-  if (!check_family(Family::kFluxRow, *table, scalar)) {
-    st.ops.flux_row = scalar.flux_row;
-    st.info.demoted_families.emplace_back(family_name(Family::kFluxRow));
-  }
-  if (!check_family(Family::kAdvectUpdateRow, *table, scalar)) {
-    st.ops.advect_update_row = scalar.advect_update_row;
-    st.info.demoted_families.emplace_back(
-        family_name(Family::kAdvectUpdateRow));
-  }
-  if (!check_family(Family::kStencil7Interior, *table, scalar)) {
-    st.ops.stencil7_interior = scalar.stencil7_interior;
-    st.info.demoted_families.emplace_back(
-        family_name(Family::kStencil7Interior));
-  }
-  if (!check_family(Family::kPointwisePanel, *table, scalar)) {
-    st.ops.pointwise_panel = scalar.pointwise_panel;
-    st.info.demoted_families.emplace_back(
-        family_name(Family::kPointwisePanel));
-  }
-  if (!check_family(Family::kDaxpy, *table, scalar)) {
-    st.ops.daxpy = scalar.daxpy;
-    st.info.demoted_families.emplace_back(family_name(Family::kDaxpy));
-  }
+  demote_on_mismatch(st, Family::kFluxRow, &KernelOps::flux_row, *table);
+  demote_on_mismatch(st, Family::kAdvectUpdateRow,
+                     &KernelOps::advect_update_row, *table);
+  demote_on_mismatch(st, Family::kStencil7Interior,
+                     &KernelOps::stencil7_interior, *table);
+  demote_on_mismatch(st, Family::kPointwisePanel, &KernelOps::pointwise_panel,
+                     *table);
+  demote_on_mismatch(st, Family::kDaxpy, &KernelOps::daxpy, *table);
+  demote_on_mismatch(st, Family::kConvWindow, &KernelOps::conv_window,
+                     *table);
 }
 
 State resolve_auto() {

@@ -10,11 +10,12 @@
 //
 // FP contract per kernel family:
 //   * CONTRACTED (bitwise) families — advection flux + upwind-update rows,
-//     the 7-point stencil interior row, the §3.4 pointwise ⊗ panel, daxpy —
-//     are independent per-point updates whose SIMD forms perform exactly
-//     the seed's multiplies/adds per lane (no FMA: the SIMD translation
-//     units are compiled with -ffp-contract=off, and the baseline x86-64
-//     scalar build has no FMA to contract into). Every tier's output is
+//     the 7-point stencil interior row, the §3.4 pointwise ⊗ panel, daxpy,
+//     the ring filter's windowed chunk convolution — are independent
+//     per-output updates whose SIMD forms perform exactly the seed's
+//     multiplies/adds per lane (no FMA: the SIMD translation units are
+//     compiled with -ffp-contract=off, and the baseline x86-64 scalar
+//     build has no FMA to contract into). Every tier's output is
 //     bitwise identical to the scalar engine, which is itself bitwise
 //     identical to the preserved seed paths. These kernels run dispatched
 //     in production.
@@ -60,12 +61,13 @@ enum class Family : int {
   kStencil7Interior,
   kPointwisePanel,
   kDaxpy,
+  kConvWindow,
   kDdot,
   kLongwaveExchange,
   kFftRadix2,
   kFftRadix4,
 };
-inline constexpr int kFamilyCount = 9;
+inline constexpr int kFamilyCount = 10;
 
 const char* family_name(Family f);
 
@@ -102,6 +104,15 @@ struct KernelOps {
                           double* out);
   /// y[i] = y[i] + alpha * x[i] (mul-then-add, never fused). CONTRACTED.
   void (*daxpy)(std::size_t n, double alpha, const double* x, double* y);
+  /// One chunk-by-chunk hop of the ring convolution filter through a
+  /// contiguous kernel window `w` (taps + n_out - 1 doubles):
+  ///   out[c] = sum_{t=0..taps-1} a[t] * w[c + taps - 1 - t]
+  /// for c in [0, n_out), each sum started at 0.0 and accumulated in
+  /// ascending t. SIMD tiers vectorise across outputs c, so every lane runs
+  /// the sequential sum unchanged. `out` must not alias `a` or `w`.
+  /// CONTRACTED.
+  void (*conv_window)(int taps, int n_out, const double* a, const double* w,
+                      double* out);
   /// dot(x, y). REDUCTION: SIMD tiers use lane accumulators (reassociated;
   /// ulp-bounded vs the sequential scalar sum).
   double (*ddot)(std::size_t n, const double* x, const double* y);

@@ -14,6 +14,8 @@
 
 #include <immintrin.h>
 
+#include <utility>
+
 namespace agcm::simd::detail {
 
 namespace {
@@ -127,6 +129,59 @@ void daxpy(std::size_t n, double alpha, const double* x, double* y) {
     _mm256_storeu_pd(y + i, _mm256_add_pd(_mm256_loadu_pd(y + i), prod));
   }
   for (; i < n; ++i) y[i] += alpha * x[i];
+}
+
+/// One register block of conv_window: sizeof...(V) vectors of outputs
+/// starting at `out`, the last one masked to `last` (lanes with all bits
+/// set). The fold keeps every accumulator in a register; each lane's sum
+/// runs over ascending t.
+template <std::size_t... V>
+void conv_block_fold(std::index_sequence<V...>, int taps, const double* a,
+                     const double* wt, __m256i last, double* out) {
+  constexpr std::size_t kVecs = sizeof...(V);
+  const auto load = [last](const double* p, std::size_t v) {
+    return v + 1 < kVecs ? _mm256_loadu_pd(p + 4 * v)
+                         : _mm256_maskload_pd(p + 4 * v, last);
+  };
+  __m256d s[kVecs] = {(static_cast<void>(V), _mm256_setzero_pd())...};
+  for (int t = 0; t < taps; ++t) {
+    const __m256d x = _mm256_set1_pd(a[t]);
+    const double* p = wt - t;
+    ((s[V] = _mm256_add_pd(s[V], _mm256_mul_pd(x, load(p, V)))), ...);
+  }
+  ((V + 1 < kVecs ? _mm256_storeu_pd(out + 4 * V, s[V])
+                  : _mm256_maskstore_pd(out + 4 * V, last, s[V])),
+   ...);
+}
+
+template <std::size_t kVecs>
+void conv_block(int taps, const double* a, const double* wt, __m256i last,
+                double* out) {
+  conv_block_fold(std::make_index_sequence<kVecs>{}, taps, a, wt, last, out);
+}
+
+/// The closing block of conv_window, by its vector count (1..5).
+constexpr void (*kFinalBlock[])(int, const double*, const double*, __m256i,
+                                double*) = {conv_block<1>, conv_block<2>,
+                                            conv_block<3>, conv_block<4>,
+                                            conv_block<5>};
+
+void conv_window(int taps, int n_out, const double* a, const double* w,
+                 double* out) {
+  const double* wt = w + (taps - 1);  // wt[c - t]: output c, source t
+  int c = 0;
+  // Four-vector blocks; the last one to five vectors run as one block so a
+  // short tail never pays a latency-bound pass of its own.
+  const __m256i all = _mm256_set1_epi64x(-1);
+  for (; n_out - c > 20; c += 16)
+    conv_block<4>(taps, a, wt + c, all, out + c);
+  const int rem = n_out - c;
+  if (rem <= 0) return;
+  const int vecs = (rem + 3) / 4;
+  const __m256i last =
+      _mm256_cmpgt_epi64(_mm256_set1_epi64x(rem - 4 * (vecs - 1)),
+                         _mm256_set_epi64x(3, 2, 1, 0));
+  kFinalBlock[vecs - 1](taps, a, wt + c, last, out + c);
 }
 
 inline double hsum(__m256d v) {
@@ -292,9 +347,9 @@ void fft_radix4_stage(double* a, int n, int m, const double* tw1,
 const KernelOps* avx2_ops() {
   static const KernelOps ops{flux_row,        advect_update_row,
                              stencil7_interior, pointwise_panel,
-                             daxpy,           ddot,
-                             longwave_exchange, fft_radix2_stage,
-                             fft_radix4_stage};
+                             daxpy,           conv_window,
+                             ddot,            longwave_exchange,
+                             fft_radix2_stage, fft_radix4_stage};
   return &ops;
 }
 

@@ -11,6 +11,8 @@
 
 #include <immintrin.h>
 
+#include <utility>
+
 namespace agcm::simd::detail {
 
 namespace {
@@ -121,6 +123,54 @@ void daxpy(std::size_t n, double alpha, const double* x, double* y) {
     _mm512_storeu_pd(y + i, _mm512_add_pd(_mm512_loadu_pd(y + i), prod));
   }
   for (; i < n; ++i) y[i] += alpha * x[i];
+}
+
+/// One register block of conv_window: sizeof...(V) vectors of outputs
+/// starting at `out`, the last one masked to `last`. The fold keeps every
+/// accumulator in a register; each lane's sum runs over ascending t.
+template <std::size_t... V>
+void conv_block_fold(std::index_sequence<V...>, int taps, const double* a,
+                     const double* wt, __mmask8 last, double* out) {
+  constexpr std::size_t kVecs = sizeof...(V);
+  const auto mask = [last](std::size_t v) {
+    return v + 1 < kVecs ? static_cast<__mmask8>(0xFF) : last;
+  };
+  __m512d s[kVecs] = {(static_cast<void>(V), _mm512_setzero_pd())...};
+  for (int t = 0; t < taps; ++t) {
+    const __m512d x = _mm512_set1_pd(a[t]);
+    const double* p = wt - t;
+    ((s[V] = _mm512_add_pd(
+          s[V], _mm512_mul_pd(x, _mm512_maskz_loadu_pd(mask(V), p + 8 * V)))),
+     ...);
+  }
+  (_mm512_mask_storeu_pd(out + 8 * V, mask(V), s[V]), ...);
+}
+
+template <std::size_t kVecs>
+void conv_block(int taps, const double* a, const double* wt, __mmask8 last,
+                double* out) {
+  conv_block_fold(std::make_index_sequence<kVecs>{}, taps, a, wt, last, out);
+}
+
+/// The closing block of conv_window, by its vector count (1..5).
+constexpr void (*kFinalBlock[])(int, const double*, const double*, __mmask8,
+                                double*) = {conv_block<1>, conv_block<2>,
+                                            conv_block<3>, conv_block<4>,
+                                            conv_block<5>};
+
+void conv_window(int taps, int n_out, const double* a, const double* w,
+                 double* out) {
+  const double* wt = w + (taps - 1);  // wt[c - t]: output c, source t
+  int c = 0;
+  // Four-vector blocks; the last one to five vectors run as one block so a
+  // short tail never pays a latency-bound pass of its own.
+  for (; n_out - c > 40; c += 32)
+    conv_block<4>(taps, a, wt + c, 0xFF, out + c);
+  const int rem = n_out - c;
+  if (rem <= 0) return;
+  const int vecs = (rem + 7) / 8;
+  const auto last = static_cast<__mmask8>(0xFFu >> (8 * vecs - rem));
+  kFinalBlock[vecs - 1](taps, a, wt + c, last, out + c);
 }
 
 double ddot(std::size_t n, const double* x, const double* y) {
@@ -281,9 +331,9 @@ void fft_radix4_stage(double* a, int n, int m, const double* tw1,
 const KernelOps* avx512_ops() {
   static const KernelOps ops{flux_row,        advect_update_row,
                              stencil7_interior, pointwise_panel,
-                             daxpy,           ddot,
-                             longwave_exchange, fft_radix2_stage,
-                             fft_radix4_stage};
+                             daxpy,           conv_window,
+                             ddot,            longwave_exchange,
+                             fft_radix2_stage, fft_radix4_stage};
   return &ops;
 }
 

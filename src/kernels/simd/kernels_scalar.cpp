@@ -107,6 +107,34 @@ void daxpy(std::size_t n, double alpha, const double* __restrict x,
   for (; i < n; ++i) y[i] += alpha * x[i];
 }
 
+void conv_window(int taps, int n_out, const double* __restrict a,
+                 const double* __restrict w, double* __restrict out) {
+  // wt[c - t] is output c's tap for source t. Four outputs per pass share
+  // each a[t] load; every output keeps its own sequential sum.
+  const double* wt = w + (taps - 1);
+  int c = 0;
+  for (; c + 4 <= n_out; c += 4) {
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    for (int t = 0; t < taps; ++t) {
+      const double x = a[t];
+      const double* p = wt + c - t;
+      s0 += x * p[0];
+      s1 += x * p[1];
+      s2 += x * p[2];
+      s3 += x * p[3];
+    }
+    out[c] = s0;
+    out[c + 1] = s1;
+    out[c + 2] = s2;
+    out[c + 3] = s3;
+  }
+  for (; c < n_out; ++c) {
+    double s = 0.0;
+    for (int t = 0; t < taps; ++t) s += a[t] * wt[c - t];
+    out[c] = s;
+  }
+}
+
 double ddot(std::size_t n, const double* __restrict x,
             const double* __restrict y) {
   // ONE sequential accumulator: this is the reduction order the frozen
@@ -207,9 +235,9 @@ void fft_radix4_stage(double* __restrict a, int n, int m,
 const KernelOps& scalar_ops() {
   static const KernelOps ops{flux_row,        advect_update_row,
                              stencil7_interior, pointwise_panel,
-                             daxpy,           ddot,
-                             longwave_exchange, fft_radix2_stage,
-                             fft_radix4_stage};
+                             daxpy,           conv_window,
+                             ddot,            longwave_exchange,
+                             fft_radix2_stage, fft_radix4_stage};
   return ops;
 }
 

@@ -1,7 +1,8 @@
 // Allocation-freedom test for the zero-copy pooled transport: after a
 // warm-up sweep, the steady-state communication hot paths — multi-field
-// halo exchange, the filter row-transpose and the dense all-to-all — must
-// not touch the heap (docs/transport.md, "allocation-free steady state").
+// halo exchange, the filter row-transpose, the convolution ring and the
+// dense all-to-all — must not touch the heap (docs/transport.md,
+// "allocation-free steady state").
 //
 // The check hooks the global operator new/delete with a counting wrapper,
 // like tests/test_fft_alloc.cpp; it lives in its own binary so the hooks
@@ -199,10 +200,12 @@ TEST(CommAllocFree, FilterTransposeAfterWarmup) {
 
     filter::FftTransposeFilter transpose(mesh, decomp, bank);
     filter::FftBalancedFilter balanced(mesh, decomp, bank);
+    filter::ConvolutionRingFilter ring(mesh, decomp, bank);
 
     auto sweep = [&] {
       transpose.apply(ptrs);
       balanced.apply(ptrs);
+      ring.apply(ptrs);
     };
 
     for (int it = 0; it < 3; ++it) sweep();
@@ -211,7 +214,8 @@ TEST(CommAllocFree, FilterTransposeAfterWarmup) {
     gated(world, sweep, [](std::size_t before, std::size_t after) {
       EXPECT_EQ(after - before, 0u)
           << (after - before)
-          << " heap allocations in the steady-state filter transpose";
+          << " heap allocations in the steady-state filter sweep "
+             "(transpose, balanced, ring)";
     });
   });
 }

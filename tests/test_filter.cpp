@@ -4,13 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
+#include <string>
 
 #include "filter/bank.hpp"
 #include "filter/implicit_zonal.hpp"
 #include "filter/parallel.hpp"
 #include "filter/serial.hpp"
 #include "filter/variants.hpp"
+#include "kernels/simd/dispatch.hpp"
 #include "simnet/machine.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -308,6 +311,124 @@ std::vector<VariantCase> variant_cases() {
 
 INSTANTIATE_TEST_SUITE_P(AllVariantsAllMeshes, VariantSweep,
                          ::testing::ValuesIn(variant_cases()));
+
+// --- convolution-ring: bitwise pin against the per-tap modulo loop --------
+
+/// Test-local copy of the ring's direct per-tap modulo loop: global point i
+/// of `line` as the rank in mesh column `col` computes it — one partial sum
+/// per hop, hops in that rank's rotation order, each sum started at zero
+/// and added to the output once.
+double ring_modulo_reference(std::span<const double> kernel,
+                             std::span<const double> line,
+                             const grid::Partition1D& lon, int col, int i) {
+  const int nlon = lon.n();
+  const int ncols = lon.blocks();
+  double out = 0.0;
+  for (int r = 0; r < ncols; ++r) {
+    const int src_col = (col + r) % ncols;
+    const int src_i0 = lon.start(src_col);
+    double acc = 0.0;
+    for (int g = 0; g < lon.size(src_col); ++g) {
+      int lag = i - (src_i0 + g);
+      lag %= nlon;
+      if (lag < 0) lag += nlon;
+      acc += kernel[static_cast<std::size_t>(lag)] *
+             line[static_cast<std::size_t>(src_i0 + g)];
+    }
+    out += acc;
+  }
+  return out;
+}
+
+struct RingPinCase {
+  int nlon, nlat, nlev, rows, cols;
+};
+
+class RingPin : public ::testing::TestWithParam<RingPinCase> {};
+
+/// The windowed, dispatched ring must reproduce the modulo loop's bits
+/// exactly — not to a tolerance — on every SIMD tier this host can run.
+TEST_P(RingPin, BitwiseEqualsPerTapModuloLoopOnEveryTier) {
+  const auto p = GetParam();
+  const LatLonGrid grid(p.nlon, p.nlat, p.nlev);
+  const FilterBank bank(grid, {{"s", FilterKind::kStrong},
+                               {"w", FilterKind::kWeak}});
+  const int nvars = bank.nvars();
+  auto value = [](int v, int gi, int gj, int k) {
+    return std::sin(0.37 * gi + 1.1 * v) * std::cos(0.21 * gj) + 0.13 * k +
+           0.01 * gi * (v + 1);
+  };
+
+  for (simd::Tier tier :
+       {simd::Tier::kScalar, simd::Tier::kAvx2, simd::Tier::kAvx512}) {
+    if (!simd::force_tier(tier)) continue;
+    SCOPED_TRACE(::testing::Message() << "tier=" << simd::tier_name(tier));
+    Machine machine(MachineProfile::intel_paragon());
+    machine.set_recv_timeout_ms(20'000);
+    machine.run(p.rows * p.cols, [&](RankContext& ctx) {
+      Communicator world(ctx);
+      Mesh2D mesh(world, p.rows, p.cols);
+      const Decomp2D decomp(p.nlon, p.nlat, p.rows, p.cols);
+      const auto box = decomp.box(mesh.coord());
+
+      std::vector<Array3D<double>> fields;
+      std::vector<Array3D<double>*> ptrs;
+      fields.reserve(static_cast<std::size_t>(nvars));
+      for (int v = 0; v < nvars; ++v) {
+        fields.emplace_back(box.ni, box.nj, p.nlev, 1);
+        for (int k = 0; k < p.nlev; ++k)
+          for (int j = 0; j < box.nj; ++j)
+            for (int i = 0; i < box.ni; ++i)
+              fields.back()(i, j, k) = value(v, box.i0 + i, box.j0 + j, k);
+      }
+      for (auto& f : fields) ptrs.push_back(&f);
+      make_filter(FilterAlgorithm::kConvolutionRing, mesh, decomp, bank)
+          ->apply(ptrs);
+
+      int filtered = 0, mismatches = 0;
+      std::vector<double> line(static_cast<std::size_t>(p.nlon));
+      for (int v = 0; v < nvars; ++v)
+        for (int j = 0; j < box.nj; ++j) {
+          const int gj = box.j0 + j;
+          if (!bank.filtered(v, gj)) continue;
+          for (int k = 0; k < p.nlev; ++k) {
+            for (int gi = 0; gi < p.nlon; ++gi)
+              line[static_cast<std::size_t>(gi)] = value(v, gi, gj, k);
+            for (int i = 0; i < box.ni; ++i) {
+              const double expected = ring_modulo_reference(
+                  bank.kernel(v, gj), line, decomp.lon_partition(),
+                  mesh.coord().col, box.i0 + i);
+              const double got = fields[static_cast<std::size_t>(v)](i, j, k);
+              ++filtered;
+              if (std::memcmp(&expected, &got, sizeof(double)) != 0) {
+                ++mismatches;
+              }
+            }
+          }
+        }
+      EXPECT_EQ(mismatches, 0)
+          << mismatches << " of " << filtered << " filtered points differ "
+          << "from the modulo loop on mesh " << p.rows << "x" << p.cols
+          << " at rank (" << mesh.coord().row << "," << mesh.coord().col
+          << ")";
+    });
+  }
+  simd::reset_tier();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    UnevenPartitions, RingPin,
+    ::testing::Values(RingPinCase{48, 24, 2, 1, 1},
+                      RingPinCase{48, 24, 2, 1, 4},
+                      RingPinCase{48, 24, 2, 3, 5},
+                      RingPinCase{48, 24, 2, 4, 7},
+                      RingPinCase{144, 90, 9, 4, 4}),
+    [](const ::testing::TestParamInfo<RingPinCase>& info) {
+      const RingPinCase& c = info.param;
+      return "mesh" + std::to_string(c.rows) + "x" + std::to_string(c.cols) +
+             "_grid" + std::to_string(c.nlon) + "x" + std::to_string(c.nlat) +
+             "x" + std::to_string(c.nlev);
+    });
 
 TEST(BalancedPlan, EveryRowHoldsNearIdealShare) {
   // Figure 2's guarantee — equation (3): after redistribution each

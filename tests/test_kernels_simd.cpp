@@ -5,9 +5,9 @@
 // covers whatever the machine offers and degrades gracefully elsewhere:
 //
 //  * the CONTRACTED families (flux/update rows, stencil interior,
-//    pointwise panel, daxpy) must be BITWISE identical to the scalar
-//    kernels on every tier, at awkward sizes (remainder lanes n%8 in
-//    1..7), unaligned interior offsets, and through the full advection
+//    pointwise panel, daxpy, conv_window) must be BITWISE identical to
+//    the scalar kernels on every tier, at awkward sizes (remainder lanes
+//    n%8 in 1..7), unaligned interior offsets, and through the full advection
 //    engine on the test_dynamics awkward-shape sweep (ghost 1-2, 0/1/5
 //    tracers);
 //  * the REDUCTION families (ddot, longwave exchange, FFT butterflies)
@@ -139,6 +139,18 @@ TEST(SimdDispatch, ScalarTierNeverDemotes) {
   EXPECT_TRUE(simd::info().demoted_families.empty());
 }
 
+// The self-check's demotion keeps bits safe on an exotic toolchain, but it
+// would also let the bitwise sweeps below compare scalar against scalar.
+// On this build every runnable tier must keep all of its own kernels.
+TEST(SimdDispatch, SupportedTiersDemoteNothing) {
+  for (simd::Tier tier : supported_tiers()) {
+    const ForcedTier forced(tier);
+    EXPECT_TRUE(simd::info().demoted_families.empty())
+        << simd::tier_name(tier) << " demoted "
+        << simd::info().demoted_families.front();
+  }
+}
+
 TEST(SimdDispatch, FamilyMetadata) {
   EXPECT_TRUE(
       simd::family_is_contracted(simd::Family::kFluxRow));
@@ -146,11 +158,16 @@ TEST(SimdDispatch, FamilyMetadata) {
       simd::family_is_contracted(simd::Family::kAdvectUpdateRow));
   EXPECT_TRUE(simd::family_is_contracted(simd::Family::kPointwisePanel));
   EXPECT_TRUE(simd::family_is_contracted(simd::Family::kDaxpy));
+  EXPECT_TRUE(simd::family_is_contracted(simd::Family::kConvWindow));
   EXPECT_FALSE(simd::family_is_contracted(simd::Family::kDdot));
   EXPECT_FALSE(simd::family_is_contracted(simd::Family::kLongwaveExchange));
   EXPECT_FALSE(simd::family_is_contracted(simd::Family::kFftRadix2));
   EXPECT_FALSE(simd::family_is_contracted(simd::Family::kFftRadix4));
   EXPECT_STREQ(simd::family_name(simd::Family::kFluxRow), "flux_row");
+  EXPECT_STREQ(simd::family_name(simd::Family::kConvWindow), "conv_window");
+  EXPECT_STREQ(simd::family_name(static_cast<simd::Family>(
+                   simd::kFamilyCount - 1)),
+               "fft_radix4");
 }
 
 // --- contracted row kernels: bitwise at awkward sizes and offsets ----------
@@ -199,6 +216,38 @@ TEST(SimdKernels, ContractedFamiliesBitwiseAtAwkwardShapes) {
         run(true, o_cand);
         run(false, o_ref);
         EXPECT_TRUE(bits_equal(o_ref, o_cand));
+      }
+    }
+    // conv_window: every taps x n_out pair crosses the 4- and 8-wide block,
+    // masked-tail and scalar-tail paths; both operands start unaligned.
+    // The scalar tier must also equal the kernel's definition loop. The
+    // window taps carry full mantissas (b / 3), so a reordered sum shows:
+    // with dyadic taps every product and partial sum would be exact.
+    constexpr int kConvSizes[] = {1, 3, 7, 8, 9, 17, 36, 37};
+    AlignedVec<double> taps3(kBuf);
+    for (std::size_t i = 0; i < kBuf; ++i) taps3[i] = b[i] / 3.0;
+    for (int taps : kConvSizes) {
+      for (int n_out : kConvSizes) {
+        SCOPED_TRACE(::testing::Message()
+                     << "conv_window taps=" << taps << " n_out=" << n_out);
+        const double* src = a.data() + 3;
+        const double* win = taps3.data() + 5;  // taps + n_out - 1 <= 73
+        std::vector<double> def(static_cast<std::size_t>(n_out));
+        for (int c = 0; c < n_out; ++c) {
+          double acc = 0.0;
+          for (int t = 0; t < taps; ++t) acc += src[t] * win[c + taps - 1 - t];
+          def[static_cast<std::size_t>(c)] = acc;
+        }
+        auto run = [&](simd::Tier t, AlignedVec<double>& out) {
+          fill_det(out, 9u, 0.25);
+          const ForcedTier forced(t);
+          simd::ops().conv_window(taps, n_out, src, win, out.data() + 1);
+        };
+        run(tier, o_cand);
+        run(simd::Tier::kScalar, o_ref);
+        EXPECT_TRUE(bits_equal(o_ref, o_cand));  // incl. untouched tails
+        EXPECT_TRUE(bits_equal(
+            def, std::span<const double>(o_ref.data() + 1, def.size())));
       }
     }
   }
