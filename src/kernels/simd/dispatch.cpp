@@ -16,17 +16,9 @@ namespace {
 constexpr const char* kTierNames[] = {"scalar", "avx2", "avx512"};
 
 constexpr const char* kFamilyNames[] = {
-    "flux_row",          "advect_update_row", "stencil7_interior",
-    "pointwise_panel",   "daxpy",             "conv_window",
-    "ddot",              "longwave_exchange", "fft_radix2",
-    "fft_radix4"};
+    "flux_row",        "advect_update_row", "stencil7_interior",
+    "pointwise_panel", "daxpy",             "conv_window"};
 static_assert(std::size(kFamilyNames) == kFamilyCount);
-
-// flux/update/stencil/pointwise/daxpy/conv_window, then
-// ddot/longwave/radix2/radix4.
-constexpr bool kFamilyContracted[] = {true,  true,  true,  true,  true,
-                                      true,  false, false, false, false};
-static_assert(std::size(kFamilyContracted) == kFamilyCount);
 
 const KernelOps* tier_table(Tier t) {
   switch (t) {
@@ -79,7 +71,7 @@ std::vector<std::string> detect_features() {
   return out;
 }
 
-// ---- bitwise self-check of the contracted families ----------------------
+// ---- bitwise self-check of every family ---------------------------------
 //
 // Deterministic dyadic fill (an LCG scaled to exact power-of-two steps) so
 // the check itself is reproducible and mixes signs — the upwind selects
@@ -96,8 +88,10 @@ bool bits_equal(const double* a, const double* b, std::size_t n) {
   return std::memcmp(a, b, n * sizeof(double)) == 0;
 }
 
-/// Runs candidate vs scalar for one contracted family over awkward sizes
-/// (including remainder lanes 1..7) and returns true on bitwise identity.
+/// Runs candidate vs scalar for one family over awkward sizes (including
+/// remainder lanes 1..7) and returns true on bitwise identity. The switch
+/// names every Family and has no default, so -Wswitch flags a family added
+/// without a self-check.
 bool check_family(Family f, const KernelOps& cand, const KernelOps& ref) {
   constexpr int kMax = 41;      // covers several vectors plus odd tails
   constexpr int kPad = 2;       // halo for the offset-indexed kernels
@@ -153,8 +147,6 @@ bool check_family(Family f, const KernelOps& cand, const KernelOps& ref) {
         cand.conv_window(n, kMax + 1 - n, a, w, o2 + kPad);
         break;
       }
-      default:
-        return true;  // reduction families: ulp contract, never checked
     }
     if (!bits_equal(o1, o2, kBuf)) return false;
   }
@@ -177,8 +169,8 @@ void demote_on_mismatch(State& st, Family family, Fn KernelOps::*slot,
   st.info.demoted_families.emplace_back(family_name(family));
 }
 
-/// Builds the table for `tier`, self-checking every contracted family and
-/// demoting mismatches to scalar.
+/// Builds the table for `tier`, self-checking every family and demoting
+/// mismatches to scalar.
 void apply_tier(State& st, Tier tier) {
   const KernelOps& scalar = detail::scalar_ops();
   const KernelOps* table = tier_table(tier);
@@ -190,7 +182,7 @@ void apply_tier(State& st, Tier tier) {
     st.ops = scalar;
     return;
   }
-  // Check each contracted family; on mismatch, point that slot back at the
+  // Check each family; on mismatch, point that slot back at the
   // scalar kernel (the rest of the tier stays active).
   demote_on_mismatch(st, Family::kFluxRow, &KernelOps::flux_row, *table);
   demote_on_mismatch(st, Family::kAdvectUpdateRow,
@@ -263,10 +255,6 @@ bool parse_tier(std::string_view name, Tier& out) {
 
 const char* family_name(Family f) {
   return kFamilyNames[static_cast<int>(f)];
-}
-
-bool family_is_contracted(Family f) {
-  return kFamilyContracted[static_cast<int>(f)];
 }
 
 const KernelOps& ops() { return state().ops; }

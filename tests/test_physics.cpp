@@ -141,8 +141,10 @@ TEST(Column, EngineBitIdenticalToSeedReferenceAcrossShapes) {
   // plus the in-place Thomas diffusion) must reproduce the preserved seed
   // path bit for bit: degenerate single-level columns, levels that are not
   // multiples of the 4-wide unroll, day and night sides, stable and
-  // convectively unstable profiles, over several steps.
-  for (int nlev : {1, 2, 5, 6, 9, 13}) {
+  // convectively unstable profiles, over several steps. 17 and 40 run the
+  // unrolled pair loop over several full passes on both sides of the
+  // diagonal.
+  for (int nlev : {1, 2, 5, 6, 9, 13, 17, 40}) {
     for (double lon : {0.0, kPi}) {
       SCOPED_TRACE(::testing::Message() << "nlev=" << nlev << " lon=" << lon);
       const ColumnParams p = params(nlev);
