@@ -3,15 +3,14 @@
 // results to a JSON-lines store (schema agcm-campaign-v1; query it with
 // tools/campaign_query.py). See docs/campaign.md.
 //
-//   $ ./campaign_run ../configs/campaign_smoke.cfg --out results.jsonl \
-//        --concurrency 4
+//   $ CFG=../configs/campaign_smoke.cfg
+//   $ ./campaign_run $CFG --out results.jsonl --concurrency 4
 //
 // With a trained performance model the driver plans admission before
 // running anything: cells are ordered cheapest-first by predicted per-day
 // virtual cost and, under --budget, only the prefix that fits is run.
 //
-//   $ ./campaign_run ../configs/campaign_smoke.cfg \
-//        --predict PREDICT_MODEL.json --budget 1200 --out results.jsonl
+//   $ ./campaign_run $CFG --predict MODEL.json --budget 1200 --out out.jsonl
 //
 // --predict with --list is the what-if: it prints every planned cell's
 // per-phase forecast and runs nothing. A plain run spec is a one-cell

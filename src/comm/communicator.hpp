@@ -101,14 +101,6 @@ class Communicator {
     return value;
   }
 
-  /// Buffered sends never block, so send-then-recv is deadlock-free.
-  template <typename T>
-  void sendrecv(int dst, std::span<const T> send_data, int src,
-                std::span<T> recv_data, int tag) const {
-    send<T>(dst, tag, send_data);
-    recv<T>(src, tag, recv_data);
-  }
-
   // --- zero-copy pooled transport ------------------------------------------
   //
   // The pooled path packs a message *once*, directly into the wire buffer:

@@ -31,7 +31,6 @@ class PackedWriter {
   explicit PackedWriter(Buffer buffer) : buffer_(std::move(buffer)) {}
 
   std::size_t size_bytes() const { return buffer_.size(); }
-  std::size_t cursor_bytes() const { return cursor_; }
   std::size_t remaining_bytes() const { return buffer_.size() - cursor_; }
 
   /// Reserves the next `count` elements and returns them for in-place

@@ -64,7 +64,6 @@ class Dynamics {
 
   const DynamicsTimings& last_timings() const { return timings_; }
   const DynamicsConfig& config() const { return config_; }
-  const filter::FilterBank& filter_bank() const { return *bank_; }
   filter::PolarFilter* polar_filter() { return filter_.get(); }
 
   /// Global diagnostics (collective).

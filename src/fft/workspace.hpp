@@ -59,7 +59,6 @@ class FftWorkspace {
   std::span<int> index_buffer(std::size_t count);
 
   std::size_t plan_count() const { return plans_.size(); }
-  std::size_t complex_capacity() const { return complex_.size(); }
 
   /// Drops all cached plans and buffers (tests only — invalidates every
   /// outstanding plan reference and borrow).

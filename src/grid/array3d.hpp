@@ -88,7 +88,6 @@ class Array3D {
             static_cast<std::ptrdiff_t>(stride_k_),
             ni_, nj_, nk_, ghost_};
   }
-  BasicFieldView<const T> cview() const { return view(); }
 
   /// Raw storage including ghosts and any row padding (for I/O and
   /// whole-array operations on same-shape arrays).

@@ -60,8 +60,6 @@ class KernelWorkspace {
   /// only when `count` exceeds the high-water mark; contents unspecified.
   std::span<double> column_buffer(std::size_t count);
 
-  std::size_t column_capacity() const { return column_.size(); }
-
   /// Drops all scratch (tests only — invalidates outstanding borrows).
   void reset();
 

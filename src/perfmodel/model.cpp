@@ -25,19 +25,24 @@ bool dominates(const Hypothesis& lhs, const Hypothesis& rhs) {
 
 std::string complexity_label(const Hypothesis& hyp) {
   if (hyp.a == 0.0 && hyp.b == 0) return "1";
+  // Built by appending only: assigning or prepending a literal trips a
+  // gcc 12 -Wrestrict false positive (at -O3, and with -fsanitize=address).
   std::string out;
   if (hyp.a != 0.0) {
-    out = "x";
+    out += 'x';
     if (hyp.a != 1.0) {
       // Grid exponents are multiples of 0.25; print the shortest exact form.
-      std::string repr = trace::JsonValue::number_repr(hyp.a);
-      out += "^" + repr;
+      out += '^';
+      out += trace::JsonValue::number_repr(hyp.a);
     }
   }
   if (hyp.b != 0) {
     if (!out.empty()) out += " * ";
     out += "log2(x)";
-    if (hyp.b != 1) out += "^" + std::to_string(hyp.b);
+    if (hyp.b != 1) {
+      out += '^';
+      out += std::to_string(hyp.b);
+    }
   }
   return out;
 }

@@ -111,7 +111,6 @@ RunResult Machine::run(int nranks,
   if (backend_ == SimBackend::kFibers) {
     FiberSchedulerOptions options;
     options.workers = workers_;
-    options.stack_bytes = fiber_stack_bytes_;
     run_fibers(
         nranks,
         [&](int r) { program(*contexts[static_cast<std::size_t>(r)]); },

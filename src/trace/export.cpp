@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string_view>
 
 #include "util/format.hpp"
 #include "util/stats.hpp"
@@ -95,99 +96,90 @@ JsonValue phases_json(const std::vector<PhaseStats>& phases) {
 }
 
 namespace {
+
 constexpr double kSecToTraceUs = 1.0e6;  ///< virtual seconds -> trace "us"
+
+/// Appends `,"key":v` with v in JsonValue's number format.
+void append_number(std::string& out, std::string_view key, double v) {
+  out += ",\"";
+  out += key;
+  out += "\":";
+  out += JsonValue::number_repr(v);
+}
+
 }  // namespace
 
-JsonValue chrome_trace(const Tracer& tracer) {
-  JsonValue events = JsonValue::array();
-
-  // Metadata: name the process and one thread per rank.
-  {
-    JsonValue meta = JsonValue::object();
-    meta.set("name", "process_name");
-    meta.set("ph", "M");
-    meta.set("pid", 0);
-    meta.set("tid", 0);
-    JsonValue args = JsonValue::object();
-    args.set("name", "virtual multicomputer");
-    meta.set("args", std::move(args));
-    events.push_back(std::move(meta));
+void append_chrome_header(std::string& out, int nranks) {
+  out +=
+      "{\"traceEvents\": [\n  {\"name\":\"process_name\",\"ph\":\"M\","
+      "\"pid\":0,\"tid\":0,\"args\":{\"name\":\"virtual multicomputer\"}}";
+  for (int rank = 0; rank < std::max(nranks, 1); ++rank) {
+    const std::string r = std::to_string(rank);
+    out += ",\n  {\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":";
+    out += r;
+    out += ",\"args\":{\"name\":\"rank ";
+    out += r;
+    out += "\"}}";
   }
-  const int nranks = std::max(tracer.nranks(), 1);
-  for (int rank = 0; rank < nranks; ++rank) {
-    JsonValue meta = JsonValue::object();
-    meta.set("name", "thread_name");
-    meta.set("ph", "M");
-    meta.set("pid", 0);
-    meta.set("tid", rank);
-    JsonValue args = JsonValue::object();
-    args.set("name", "rank " + std::to_string(rank));
-    meta.set("args", std::move(args));
-    events.push_back(std::move(meta));
-  }
+}
 
-  // Spans as complete ("X") events with the breakdown split in args.
-  for (const SpanRecord& span : tracer.spans()) {
-    JsonValue event = JsonValue::object();
-    event.set("name", span.name);
-    event.set("cat", "virtual");
-    event.set("ph", "X");
-    event.set("ts", span.begin * kSecToTraceUs);
-    event.set("dur", span.duration() * kSecToTraceUs);
-    event.set("pid", 0);
-    event.set("tid", span.rank);
-    JsonValue args = JsonValue::object();
-    args.set("compute_sec", span.split.compute);
-    args.set("overhead_sec", span.split.overhead);
-    args.set("wait_sec", span.split.wait);
-    event.set("args", std::move(args));
-    events.push_back(std::move(event));
-  }
-
-  // Instants and counter samples.
-  for (int rank = 0; rank < Tracer::kMaxRanks; ++rank) {
-    for (const Event& e : tracer.events(rank)) {
-      if (e.kind == EventKind::kInstant) {
-        JsonValue event = JsonValue::object();
-        event.set("name", e.name);
-        event.set("cat", "virtual");
-        event.set("ph", "i");
-        event.set("s", "t");  // thread-scoped instant
-        event.set("ts", e.t * kSecToTraceUs);
-        event.set("pid", 0);
-        event.set("tid", rank);
-        events.push_back(std::move(event));
-      } else if (e.kind == EventKind::kCounter) {
-        JsonValue event = JsonValue::object();
-        event.set("name", e.name);
-        event.set("cat", "virtual");
-        event.set("ph", "C");
-        event.set("ts", e.t * kSecToTraceUs);
-        event.set("pid", 0);
-        event.set("tid", rank);
-        JsonValue args = JsonValue::object();
-        args.set("value", e.value);
-        event.set("args", std::move(args));
-        events.push_back(std::move(event));
+std::size_t append_chrome_events(std::string& out, int rank,
+                                 const std::vector<Event>& events) {
+  const std::string thread = ",\"pid\":0,\"tid\":" + std::to_string(rank);
+  const std::vector<std::size_t> ends = match_spans(events);
+  std::size_t spans = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const Event& e = events[i];
+    const bool span = e.kind == EventKind::kSpanBegin && ends[i] != kNoEnd;
+    if (!span && e.kind != EventKind::kInstant &&
+        e.kind != EventKind::kCounter) {
+      continue;  // span ends and unterminated begins
+    }
+    out += ",\n  {\"name\":";
+    out += JsonValue::quote(e.name);
+    out += ",\"cat\":\"virtual\",\"ph\":";
+    out += span ? "\"X\"" : e.kind == EventKind::kInstant ? "\"i\",\"s\":\"t\""
+                                                           : "\"C\"";
+    append_number(out, "ts", e.t * kSecToTraceUs);
+    if (span) {
+      const Event& end = events[ends[i]];
+      const TimeSplit split = end.split - e.split;
+      append_number(out, "dur", (end.t - e.t) * kSecToTraceUs);
+      out += thread;
+      out += ",\"args\":{\"compute_sec\":";
+      out += JsonValue::number_repr(split.compute);
+      append_number(out, "overhead_sec", split.overhead);
+      append_number(out, "wait_sec", split.wait);
+      out += "}}";
+      ++spans;
+    } else {
+      out += thread;
+      if (e.kind == EventKind::kCounter) {
+        out += ",\"args\":{\"value\":";
+        out += JsonValue::number_repr(e.value);
+        out += '}';
       }
+      out += '}';
     }
   }
+  return spans;
+}
 
-  JsonValue root = JsonValue::object();
-  root.set("traceEvents", std::move(events));
-  root.set("displayTimeUnit", "ms");
-  JsonValue other = JsonValue::object();
-  other.set("clock", "virtual");
-  other.set(
-      "note",
-      "timestamps are deterministic virtual seconds (shown as us), not host "
-      "time");
-  root.set("otherData", std::move(other));
-  return root;
+void append_chrome_footer(std::string& out) {
+  out +=
+      "\n], \"displayTimeUnit\": \"ms\", \"otherData\": {\"clock\": "
+      "\"virtual\", \"note\": \"timestamps are deterministic virtual seconds "
+      "(shown as us), not host time\"}}\n";
 }
 
 std::string chrome_trace_json(const Tracer& tracer) {
-  return chrome_trace(tracer).dump();
+  std::string out;
+  append_chrome_header(out, tracer.nranks());
+  for (int rank = 0; rank < Tracer::kMaxRanks; ++rank) {
+    append_chrome_events(out, rank, tracer.events(rank));
+  }
+  append_chrome_footer(out);
+  return out;
 }
 
 void write_chrome_trace(const Tracer& tracer, const std::string& path) {

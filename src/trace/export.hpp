@@ -6,7 +6,11 @@
 //    chrome://tracing and https://ui.perfetto.dev. Virtual seconds map to
 //    trace microseconds; one trace "thread" per rank; span args carry the
 //    compute/overhead/wait split so the paper's Fig. 1 breakdown can be
-//    read straight off a span.
+//    read straight off a span. The append_chrome_* functions are the one
+//    serializer of that format: chrome_trace_json runs them over the
+//    tracer's buffers in place, and StreamingTraceSink
+//    (trace/stream_sink.hpp) runs them over drained buffers, so a
+//    one-shot export and a single-drain stream are byte-identical.
 //  * trace_csv — one line per completed span for spreadsheet/pandas use.
 //  * aggregate_phases / phase_table — the paper's table form: per phase
 //    name, call counts, per-rank virtual-time totals (mean/max), the
@@ -14,6 +18,7 @@
 //    (max-avg)/avg over per-rank totals. Built on util/table + util/stats.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -51,12 +56,25 @@ Table phase_table(const std::vector<PhaseStats>& phases,
 /// JSON form of the aggregate (array of phase objects).
 JsonValue phases_json(const std::vector<PhaseStats>& phases);
 
-/// Chrome Trace Event Format document (JSON object with "traceEvents").
-/// Spans become complete ("X") events, counters "C" events, instants "i"
-/// events; rank r is trace thread r of process 0.
-JsonValue chrome_trace(const Tracer& tracer);
+/// Chrome Trace Event Format document (JSON object with "traceEvents"),
+/// one event per line: the header, then each rank's events in recording
+/// order, then the footer. Rank r is trace thread r of process 0. Reads
+/// the tracer's buffers without consuming them.
 std::string chrome_trace_json(const Tracer& tracer);
 void write_chrome_trace(const Tracer& tracer, const std::string& path);
+
+/// Appends the document header: the process name and one thread name per
+/// rank (at least one) as metadata ("M") events.
+void append_chrome_header(std::string& out, int nranks);
+/// Appends one rank's events in recording order: each matched span as a
+/// complete ("X") event at its begin position, with the compute/overhead/
+/// wait split in args; instants as "i" and counter samples as "C" events.
+/// Unterminated spans are dropped, as Tracer::spans() drops them. Returns
+/// the number of spans written.
+std::size_t append_chrome_events(std::string& out, int rank,
+                                 const std::vector<Event>& events);
+/// Appends the footer that closes the document.
+void append_chrome_footer(std::string& out);
 
 /// Flat CSV: rank,name,depth,begin_s,end_s,duration_s,compute_s,
 /// overhead_s,wait_s — one line per completed span.

@@ -2,13 +2,9 @@
 
 #include <stdexcept>
 
-#include "trace/json.hpp"
+#include "trace/export.hpp"
 
 namespace agcm::trace {
-
-namespace {
-constexpr double kSecToTraceUs = 1.0e6;  ///< virtual seconds -> trace "us"
-}  // namespace
 
 StreamingTraceSink::StreamingTraceSink(std::string path,
                                        std::size_t chunk_bytes)
@@ -22,11 +18,6 @@ StreamingTraceSink::StreamingTraceSink(std::string path,
 
 StreamingTraceSink::~StreamingTraceSink() { close(); }
 
-void StreamingTraceSink::append(const std::string& text) {
-  buffer_ += text;
-  if (buffer_.size() >= chunk_bytes_) flush_buffer();
-}
-
 void StreamingTraceSink::flush_buffer() {
   if (buffer_.empty() || !file_) return;
   std::fwrite(buffer_.data(), 1, buffer_.size(), file_);
@@ -34,131 +25,27 @@ void StreamingTraceSink::flush_buffer() {
   buffer_.clear();
 }
 
-void StreamingTraceSink::emit_event_json(const std::string& body) {
-  append(first_event_ ? "\n  " : ",\n  ");
-  first_event_ = false;
-  append(body);
-  ++events_written_;
-}
-
 void StreamingTraceSink::begin(int nranks) {
   if (began_) return;
   began_ = true;
-  append("{\"traceEvents\": [");
-
-  // Metadata: name the process and one thread per rank — identical in shape
-  // to export.cpp's chrome_trace().
-  {
-    JsonValue meta = JsonValue::object();
-    meta.set("name", "process_name");
-    meta.set("ph", "M");
-    meta.set("pid", 0);
-    meta.set("tid", 0);
-    JsonValue args = JsonValue::object();
-    args.set("name", "virtual multicomputer");
-    meta.set("args", std::move(args));
-    emit_event_json(meta.dump());
-  }
-  const int n = nranks > 0 ? nranks : 1;
-  for (int rank = 0; rank < n; ++rank) {
-    JsonValue meta = JsonValue::object();
-    meta.set("name", "thread_name");
-    meta.set("ph", "M");
-    meta.set("pid", 0);
-    meta.set("tid", rank);
-    JsonValue args = JsonValue::object();
-    args.set("name", "rank " + std::to_string(rank));
-    meta.set("args", std::move(args));
-    emit_event_json(meta.dump());
-  }
-}
-
-void StreamingTraceSink::drain_rank(int rank, std::vector<Event> events) {
-  // Stack-match begin/end pairs exactly like Tracer::spans(); emit complete
-  // ("X") events in begin order, instants and counters inline. Spans still
-  // open at drain time never see their end event and are dropped.
-  std::vector<std::size_t> stack;
-  std::vector<char> matched(events.size(), 0);
-  std::vector<std::size_t> end_of_begin(events.size(), 0);
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const Event& e = events[i];
-    if (e.kind == EventKind::kSpanBegin) {
-      stack.push_back(i);
-    } else if (e.kind == EventKind::kSpanEnd && !stack.empty()) {
-      const std::size_t begin_index = stack.back();
-      stack.pop_back();
-      matched[begin_index] = 1;
-      end_of_begin[begin_index] = i;
-    }
-  }
-
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const Event& e = events[i];
-    if (e.kind == EventKind::kSpanBegin) {
-      if (!matched[i]) continue;  // unterminated: drop
-      const Event& end = events[end_of_begin[i]];
-      const TimeSplit split = end.split - e.split;
-      JsonValue event = JsonValue::object();
-      event.set("name", e.name);
-      event.set("cat", "virtual");
-      event.set("ph", "X");
-      event.set("ts", e.t * kSecToTraceUs);
-      event.set("dur", (end.t - e.t) * kSecToTraceUs);
-      event.set("pid", 0);
-      event.set("tid", rank);
-      JsonValue args = JsonValue::object();
-      args.set("compute_sec", split.compute);
-      args.set("overhead_sec", split.overhead);
-      args.set("wait_sec", split.wait);
-      event.set("args", std::move(args));
-      emit_event_json(event.dump());
-      ++spans_written_;
-    } else if (e.kind == EventKind::kInstant) {
-      JsonValue event = JsonValue::object();
-      event.set("name", e.name);
-      event.set("cat", "virtual");
-      event.set("ph", "i");
-      event.set("s", "t");  // thread-scoped instant
-      event.set("ts", e.t * kSecToTraceUs);
-      event.set("pid", 0);
-      event.set("tid", rank);
-      emit_event_json(event.dump());
-    } else if (e.kind == EventKind::kCounter) {
-      JsonValue event = JsonValue::object();
-      event.set("name", e.name);
-      event.set("cat", "virtual");
-      event.set("ph", "C");
-      event.set("ts", e.t * kSecToTraceUs);
-      event.set("pid", 0);
-      event.set("tid", rank);
-      JsonValue args = JsonValue::object();
-      args.set("value", e.value);
-      event.set("args", std::move(args));
-      emit_event_json(event.dump());
-    }
-  }
+  append_chrome_header(buffer_, nranks);
 }
 
 void StreamingTraceSink::drain(Tracer& tracer) {
-  if (!began_) begin(tracer.nranks());
+  begin(tracer.nranks());  // no-op once begun
   for (int rank = 0; rank < Tracer::kMaxRanks; ++rank) {
-    std::vector<Event> events = tracer.take_events(rank);
+    const std::vector<Event> events = tracer.take_events(rank);
     if (events.empty()) continue;
-    drain_rank(rank, std::move(events));
+    spans_written_ += append_chrome_events(buffer_, rank, events);
+    if (buffer_.size() >= chunk_bytes_) flush_buffer();
   }
 }
 
 void StreamingTraceSink::close() {
   if (closed_) return;
   closed_ = true;
-  if (!began_) {
-    began_ = true;
-    append("{\"traceEvents\": [");
-  }
-  append(
-      "\n], \"displayTimeUnit\": \"ms\", \"otherData\": {\"clock\": "
-      "\"virtual\", \"note\": \"timestamps are deterministic virtual seconds "
-      "(shown as us), not host time\"}}\n");
+  begin(0);  // no-op once begun; an undrained sink still gets rank metadata
+  append_chrome_footer(buffer_);
   flush_buffer();
   if (file_) {
     std::fclose(file_);

@@ -1,18 +1,19 @@
 // Bounded-memory streaming Chrome-trace writer.
 //
-// write_chrome_trace (export.hpp) builds the whole trace document in memory
-// before writing — fine for a single run, hopeless for a parameter sweep
-// that traces dozens of cells: the Tracer's per-rank buffers and the JSON
-// tree both grow without bound. StreamingTraceSink inverts the flow: the
-// launcher thread calls drain() between runs (or between sweep cells),
-// which MOVES each rank's events out of the Tracer via Tracer::take_events,
-// serialises the matched spans / instants / counters straight into a
-// chunk-buffered file append, and discards them. Steady-state memory is
-// one rank's events plus the chunk buffer, independent of sweep length.
+// chrome_trace_json (export.hpp) serialises a finished run from the
+// Tracer's buffers, which is fine for a single run but not for a parameter
+// sweep that traces dozens of cells: the buffers would grow without bound.
+// StreamingTraceSink writes the same document incrementally. The launcher
+// thread calls drain() between runs (or between sweep cells), which MOVES
+// each rank's events out of the Tracer via Tracer::take_events, serialises
+// them with the one Chrome-trace serializer (append_chrome_events in
+// export.hpp) into a chunk buffer, flushes full chunks to the file, and
+// discards the events. Steady-state memory is one rank's events and their
+// text plus the chunk buffer, independent of sweep length.
 //
-// The emitted file is the same Chrome Trace Event Format document
-// export.cpp produces (header metadata, "X"/"i"/"C" events, footer with
-// displayTimeUnit + otherData), just written incrementally:
+// Header, events and footer come from export.hpp's append_chrome_*
+// functions, so a sink drained once is byte-identical to
+// chrome_trace_json over the same tracer (tested):
 //
 //   StreamingTraceSink sink("TRACE_sweep.json");
 //   sink.begin(nranks);            // header + process/thread metadata
@@ -32,7 +33,6 @@
 #include <cstddef>
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "trace/tracer.hpp"
 
@@ -50,7 +50,8 @@ class StreamingTraceSink {
   StreamingTraceSink& operator=(const StreamingTraceSink&) = delete;
 
   /// Writes the document header and process/thread metadata for `nranks`
-  /// ranks. Must be called exactly once, before the first drain().
+  /// ranks. Later calls are no-ops; drain() and close() call it with the
+  /// tracer's rank count (close: one rank) when nothing has been written.
   void begin(int nranks);
 
   /// Moves every recorded event out of `tracer` (all ranks), appends the
@@ -64,14 +65,10 @@ class StreamingTraceSink {
 
   // --- observability about the observability --------------------------------
   std::size_t spans_written() const { return spans_written_; }
-  std::size_t events_written() const { return events_written_; }
   std::size_t bytes_written() const { return bytes_written_; }
 
  private:
-  void append(const std::string& text);
   void flush_buffer();
-  void emit_event_json(const std::string& body);
-  void drain_rank(int rank, std::vector<Event> events);
 
   std::string path_;
   std::size_t chunk_bytes_;
@@ -79,9 +76,7 @@ class StreamingTraceSink {
   std::string buffer_;
   bool began_ = false;
   bool closed_ = false;
-  bool first_event_ = true;
   std::size_t spans_written_ = 0;
-  std::size_t events_written_ = 0;
   std::size_t bytes_written_ = 0;
 };
 

@@ -115,49 +115,32 @@ std::vector<Event> Tracer::take_events(int rank) {
   return out;
 }
 
+std::vector<std::size_t> match_spans(const std::vector<Event>& events) {
+  std::vector<std::size_t> ends(events.size(), kNoEnd);
+  std::vector<std::size_t> stack;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (events[i].kind == EventKind::kSpanBegin) {
+      stack.push_back(i);
+    } else if (events[i].kind == EventKind::kSpanEnd && !stack.empty()) {
+      ends[stack.back()] = i;
+      stack.pop_back();
+    }
+  }
+  return ends;
+}
+
 std::vector<SpanRecord> Tracer::spans() const {
   std::vector<SpanRecord> out;
   for (int rank = 0; rank < kMaxRanks; ++rank) {
-    const RankBuffer* buf = buffer(rank);
-    if (!buf || buf->events.empty()) continue;
-    // Match begin/end pairs with a local stack; emit in begin order.
-    std::vector<std::size_t> stack;
-    std::vector<SpanRecord> rank_spans;
-    std::vector<std::size_t> record_of_begin(buf->events.size(), 0);
-    for (std::size_t i = 0; i < buf->events.size(); ++i) {
-      const Event& event = buf->events[i];
-      if (event.kind == EventKind::kSpanBegin) {
-        SpanRecord record;
-        record.name = event.name;
-        record.rank = rank;
-        record.depth = event.depth;
-        record.begin = event.t;
-        record.end = event.t;
-        record.split = {};  // filled at the matching end
-        record_of_begin[i] = rank_spans.size();
-        stack.push_back(i);
-        rank_spans.push_back(std::move(record));
-      } else if (event.kind == EventKind::kSpanEnd && !stack.empty()) {
-        const std::size_t begin_index = stack.back();
-        stack.pop_back();
-        SpanRecord& record = rank_spans[record_of_begin[begin_index]];
-        record.end = event.t;
-        record.split = event.split - buf->events[begin_index].split;
-      }
+    const std::vector<Event>& recorded = events(rank);
+    const std::vector<std::size_t> ends = match_spans(recorded);
+    for (std::size_t i = 0; i < recorded.size(); ++i) {
+      if (ends[i] == kNoEnd) continue;
+      const Event& begin = recorded[i];
+      const Event& end = recorded[ends[i]];
+      out.push_back({begin.name, rank, begin.depth, begin.t, end.t,
+                     end.split - begin.split});
     }
-    // Drop unterminated spans (still on the stack).
-    if (!stack.empty()) {
-      std::vector<bool> dead(rank_spans.size(), false);
-      for (const std::size_t begin_index : stack)
-        dead[record_of_begin[begin_index]] = true;
-      std::vector<SpanRecord> kept;
-      kept.reserve(rank_spans.size());
-      for (std::size_t i = 0; i < rank_spans.size(); ++i)
-        if (!dead[i]) kept.push_back(std::move(rank_spans[i]));
-      rank_spans = std::move(kept);
-    }
-    out.insert(out.end(), std::make_move_iterator(rank_spans.begin()),
-               std::make_move_iterator(rank_spans.end()));
   }
   return out;
 }

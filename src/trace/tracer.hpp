@@ -66,8 +66,10 @@ enum class EventKind : std::uint8_t {
   kCounter,
 };
 
-/// One recorded event. Span ends carry the matching begin's name so the
-/// exporters never need cross-event lookups.
+/// One recorded event. A span end carries its begin's name and depth so a
+/// raw event dump reads on its own; pairing an end with its begin is
+/// match_spans()'s job, shared by Tracer::spans() and the Chrome-trace
+/// writer.
 struct Event {
   std::string name;
   double t = 0.0;        ///< virtual seconds on the recording rank's clock
@@ -76,6 +78,16 @@ struct Event {
   EventKind kind = EventKind::kInstant;
   std::int32_t depth = 0;  ///< span nesting depth at the event
 };
+
+/// match_spans() entry for an event that is not a matched span begin.
+inline constexpr std::size_t kNoEnd = static_cast<std::size_t>(-1);
+
+/// The one begin/end matcher: pairs one rank's span events with a stack, in
+/// recording order. Entry i is the index of the kSpanEnd that closes
+/// events[i] when events[i] is a kSpanBegin with a matching end, and kNoEnd
+/// otherwise (unterminated spans and every non-begin event). An end with no
+/// open begin is ignored.
+std::vector<std::size_t> match_spans(const std::vector<Event>& events);
 
 /// A matched begin/end pair, produced by Tracer::spans().
 struct SpanRecord {

@@ -7,66 +7,17 @@
 // duplication of cached state, and no cache that quietly grows on every
 // acquisition (the ISSUE 9 call_once audit, as a regression fence).
 //
-// The global operator new/delete counting hook follows
-// tests/test_kernel_alloc.cpp; it lives in its own binary so the hook
-// cannot perturb the other suites.
+// The global operator new/delete counting hook is tests/counting_new.hpp;
+// it lives in its own binary so the hook cannot perturb the other suites.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
+#include "counting_new.hpp"
 
 #include "core/model.hpp"
 #include "util/shared_cache.hpp"
 
-namespace {
-std::atomic<std::size_t> g_new_calls{0};
-}  // namespace
-
-// Counting global allocator: malloc passthrough (sanitizer-friendly — ASan
-// still sees the underlying malloc/free).
-void* operator new(std::size_t size) {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size ? size : 1);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
-  return ::operator new(size, tag);
-}
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                               ((size + static_cast<std::size_t>(align) - 1) /
-                                static_cast<std::size_t>(align)) *
-                                   static_cast<std::size_t>(align));
-  if (p) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
 namespace agcm {
 namespace {
-
-std::size_t allocs() { return g_new_calls.load(std::memory_order_relaxed); }
 
 core::ModelConfig small_cell() {
   core::ModelConfig config;

@@ -4,8 +4,8 @@
 // dense all-to-all — must not touch the heap (docs/transport.md,
 // "allocation-free steady state").
 //
-// The check hooks the global operator new/delete with a counting wrapper,
-// like tests/test_fft_alloc.cpp; it lives in its own binary so the hooks
+// The check hooks the global operator new/delete with the counting wrapper
+// in tests/counting_new.hpp; it lives in its own binary so the hooks
 // cannot perturb the other suites.
 //
 // Measurement protocol (the ranks run on real threads, so a naive global
@@ -22,11 +22,10 @@
 //   rank 0:     recv DONEs,  sample `after`, assert, send EXITs
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <span>
 #include <vector>
+
+#include "counting_new.hpp"
 
 #include "comm/communicator.hpp"
 #include "comm/mesh2d.hpp"
@@ -39,50 +38,6 @@
 #include "grid/latlon.hpp"
 #include "simnet/machine.hpp"
 
-namespace {
-std::atomic<std::size_t> g_new_calls{0};
-}  // namespace
-
-// Counting global allocator: malloc passthrough (sanitizer-friendly — ASan
-// still sees the underlying malloc/free).
-void* operator new(std::size_t size) {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size ? size : 1);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
-  return ::operator new(size, tag);
-}
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                               ((size + static_cast<std::size_t>(align) - 1) /
-                                static_cast<std::size_t>(align)) *
-                                   static_cast<std::size_t>(align));
-  if (p) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
 namespace agcm {
 namespace {
 
@@ -93,8 +48,6 @@ using grid::Decomp2D;
 using simnet::Machine;
 using simnet::MachineProfile;
 using simnet::RankContext;
-
-std::size_t allocs() { return g_new_calls.load(std::memory_order_relaxed); }
 
 constexpr int kReady = 3001, kStart = 3002, kDone = 3003, kExit = 3004;
 

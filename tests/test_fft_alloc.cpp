@@ -2,17 +2,16 @@
 // or FFT-filter entry point may touch the heap (ISSUE 2 acceptance
 // criterion; the scratch lives in the thread-local fft::FftWorkspace).
 //
-// The check hooks the global operator new/delete with a counting wrapper.
-// This lives in its own test binary so the hooks cannot perturb the other
-// suites. Counts are sampled into plain locals around the measured region
+// The check hooks the global operator new/delete with a counting wrapper
+// (tests/counting_new.hpp). This lives in its own test binary so the hooks
+// cannot perturb the other suites. Counts are sampled into plain locals around the measured region
 // and asserted afterwards, so the gtest machinery's own allocations never
 // leak into the measurement.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <vector>
+
+#include "counting_new.hpp"
 
 #include "fft/fft.hpp"
 #include "fft/workspace.hpp"
@@ -21,54 +20,8 @@
 #include "grid/latlon.hpp"
 #include "util/rng.hpp"
 
-namespace {
-std::atomic<std::size_t> g_new_calls{0};
-}  // namespace
-
-// Counting global allocator: malloc passthrough (sanitizer-friendly — ASan
-// still sees the underlying malloc/free).
-void* operator new(std::size_t size) {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size ? size : 1);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
-  return ::operator new(size, tag);
-}
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                               ((size + static_cast<std::size_t>(align) - 1) /
-                                static_cast<std::size_t>(align)) *
-                                   static_cast<std::size_t>(align));
-  if (p) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
 namespace agcm::fft {
 namespace {
-
-std::size_t allocs() { return g_new_calls.load(std::memory_order_relaxed); }
 
 TEST(AllocationHook, CountsHeapTraffic) {
   const std::size_t before = allocs();

@@ -5,8 +5,8 @@
 // the Physics gather buffers are members sized in the constructor, and the
 // profile Thomas solves run in place via thomas_solve_into.
 //
-// The check hooks the global operator new/delete with a counting wrapper,
-// like tests/test_comm_alloc.cpp; it lives in its own binary so the hooks
+// The check hooks the global operator new/delete with the counting wrapper
+// in tests/counting_new.hpp; it lives in its own binary so the hooks
 // cannot perturb the other suites. CI runs it under ASan+UBSan as well —
 // the hooks pass through to malloc/aligned_alloc, so the sanitizers still
 // see every underlying allocation.
@@ -18,10 +18,9 @@
 // pooled transport path under the step.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <vector>
+
+#include "counting_new.hpp"
 
 #include "comm/communicator.hpp"
 #include "comm/mesh2d.hpp"
@@ -36,50 +35,6 @@
 #include "physics/physics.hpp"
 #include "simnet/machine.hpp"
 
-namespace {
-std::atomic<std::size_t> g_new_calls{0};
-}  // namespace
-
-// Counting global allocator: malloc passthrough (sanitizer-friendly — ASan
-// still sees the underlying malloc/free).
-void* operator new(std::size_t size) {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size ? size : 1);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
-  return ::operator new(size, tag);
-}
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                               ((size + static_cast<std::size_t>(align) - 1) /
-                                static_cast<std::size_t>(align)) *
-                                   static_cast<std::size_t>(align));
-  if (p) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
 namespace agcm {
 namespace {
 
@@ -90,8 +45,6 @@ using grid::Decomp2D;
 using simnet::Machine;
 using simnet::MachineProfile;
 using simnet::RankContext;
-
-std::size_t allocs() { return g_new_calls.load(std::memory_order_relaxed); }
 
 TEST(AllocationHook, CountsHeapTraffic) {
   const std::size_t before = allocs();

@@ -478,6 +478,54 @@ TEST(StreamSink, DrainEmptiesTracerAndEmitsEquivalentSpans) {
   std::remove(path.c_str());
 }
 
+/// Two ranks: nested spans, an unterminated span, a name with quotes, a
+/// counter and an instant.
+void record_mixed_events() {
+  Tracer& tracer = Tracer::instance();
+  tracer.begin_span(0, "outer", 0.0, {});
+  tracer.begin_span(0, "inner \"q\"", 0.25, {0.25, 0.0, 0.0});
+  tracer.counter(0, "bytes", 0.5, 42.0);
+  tracer.end_span(0, 0.75, {0.5, 0.125, 0.125});
+  tracer.instant(0, "tick", 0.875);
+  tracer.end_span(0, 1.0, {0.625, 0.25, 0.125});
+  tracer.begin_span(1, "open-forever", 0.0, {});
+  tracer.begin_span(1, "step", 0.5, {0.5, 0.0, 0.0});
+  tracer.end_span(1, 1.5, {1.0, 0.25, 0.25});
+}
+
+TEST(StreamSink, SingleDrainIsByteIdenticalToOneShotExport) {
+  TraceGuard guard(2);
+  record_mixed_events();
+  const std::string one_shot = chrome_trace_json(Tracer::instance());
+
+  Tracer::instance().begin_run(2);
+  record_mixed_events();
+  const std::string path = "test_stream_sink_identity.json";
+  {
+    StreamingTraceSink sink(path, /*chunk_bytes=*/64);
+    sink.drain(Tracer::instance());
+    sink.close();
+    EXPECT_EQ(sink.spans_written(), 3u);  // open-forever is dropped
+    EXPECT_EQ(sink.bytes_written(), one_shot.size());
+  }
+  EXPECT_EQ(read_text_file(path), one_shot);
+  std::remove(path.c_str());
+
+  // Recording order: a span's "X" event sits at its begin position, so
+  // "outer" precedes "inner" precedes the counter, instant and "step".
+  const std::size_t outer = one_shot.find("\"outer\"");
+  const std::size_t inner = one_shot.find("inner \\\"q\\\"");
+  const std::size_t bytes = one_shot.find("\"bytes\"");
+  const std::size_t tick = one_shot.find("\"tick\"");
+  const std::size_t step = one_shot.find("\"step\"");
+  ASSERT_NE(inner, std::string::npos) << one_shot;
+  EXPECT_LT(outer, inner);
+  EXPECT_LT(inner, bytes);
+  EXPECT_LT(bytes, tick);
+  EXPECT_LT(tick, step);
+  EXPECT_EQ(one_shot.find("open-forever"), std::string::npos);
+}
+
 TEST(StreamSink, CloseWithoutDrainYieldsValidEmptyTrace) {
   const std::string path = "test_stream_sink_empty.json";
   {
