@@ -38,7 +38,6 @@ struct FilterCosts {
 FilterCosts measure_filter(filter::FilterAlgorithm algorithm,
                            NodeMesh mesh_spec, int nlon, int nlat, int nlev) {
   simnet::Machine machine(simnet::MachineProfile::intel_paragon());
-  machine.set_recv_timeout_ms(600'000);
   FilterCosts costs;
   std::vector<double> per_rank(static_cast<std::size_t>(mesh_spec.nodes()));
   std::vector<double> setup(static_cast<std::size_t>(mesh_spec.nodes()));
@@ -218,7 +217,6 @@ void scheme_comparison() {
   const int p = 16;
   for (int scheme = 1; scheme <= 3; ++scheme) {
     simnet::Machine machine(simnet::MachineProfile::intel_paragon());
-    machine.set_recv_timeout_ms(600'000);
     double before = 0.0, after = 0.0;
     std::vector<double> moved(static_cast<std::size_t>(p));
     const auto result = machine.run(p, [&](simnet::RankContext& ctx) {

@@ -121,7 +121,6 @@ double equivalence_case(std::uint64_t seed, int n, int taps, int block) {
 std::map<std::string, double> run_virtual_cell(
     int nlon, int cols, const std::vector<filter::FilterAlgorithm>& algos) {
   simnet::Machine machine(simnet::MachineProfile::cray_t3d());
-  machine.set_recv_timeout_ms(600'000);
   trace::Tracer::instance().begin_run(cols);
 
   machine.run(cols, [&](simnet::RankContext& ctx) {

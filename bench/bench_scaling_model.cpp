@@ -83,7 +83,6 @@ FilterCell run_filter_cell(int nlon, int cols,
                            trace::StreamingTraceSink& sink) {
   const auto profile = simnet::MachineProfile::cray_t3d();
   simnet::Machine machine(profile);
-  machine.set_recv_timeout_ms(600'000);
   trace::Tracer::instance().begin_run(cols);
   trace::MetricsRegistry::instance().reset();
 
@@ -143,7 +142,6 @@ struct ImbalanceResult {
 ImbalanceResult run_imbalance_cell() {
   const auto profile = simnet::MachineProfile::cray_t3d();
   simnet::Machine machine(profile);
-  machine.set_recv_timeout_ms(600'000);
   const int rows = 8, cols = 8;
   lb::ItemLists lists(static_cast<std::size_t>(rows * cols));
 

@@ -1,25 +1,24 @@
-// Host-side throughput of the simnet rank schedulers: thread-per-rank vs
-// the M:N fiber scheduler (docs/simnet.md).
+// Host-side cost of the simnet fiber scheduler as the machine grows
+// (docs/simnet.md).
 //
 // The workload is deliberately message-dominated — per virtual timestep
 // each rank does a ring shift plus a binomial reduce-and-broadcast tree on
 // p2p messages, with only a token virtual compute charge — because that is
 // the regime where the host cost of a virtual machine lives: every recv
 // parks the rank, so the scheduler's park/wake mechanism is exercised
-// ~3P times per step. Under thread-per-rank every park is an OS context
-// switch + futex wake across P oversubscribed threads; under the fiber
-// scheduler it is a user-space context switch on a worker pool sized to
-// the actual cores.
+// ~3P times per step, each one a user-space context switch.
 //
 // Measurements:
-//  * P=64 shoot-out, both backends, best-of-N wall clock — gated: the
-//    fiber backend must be >= 4x faster (exit code 1 otherwise).
-//  * Correctness fence: per-rank virtual finish times of the two backends
-//    must be bit-identical at P=64 (the scheduler moves host execution
-//    around, never virtual time).
-//  * Fiber scaling sweep P = 64..1024: the P=1024 multi-step run is the
-//    paper-scale demonstration (240-node Table 4 sweeps fit with room to
-//    spare) and must complete.
+//  * P-scaling gate: host ms per rank-step at P=1024 must stay within
+//    2.5x of P=64, both on ONE worker, 30 steps, best of N wall clock
+//    (exit code 1 otherwise). The work per rank-step is constant, so an
+//    O(1) park/wake path reads ~1.4-1.8x (cache footprint only), while
+//    even a bare O(P) scan of the fibers per dequeue reads ~3.8x.
+//  * Correctness fence: per-rank virtual finish times at P=64 on one
+//    worker and on the default worker pool must be bit-identical (the
+//    scheduler moves host execution around, never virtual time).
+//  * The P=1024 multi-step run is the paper-scale demonstration
+//    (240-node Table 4 sweeps fit with room to spare) and must complete.
 #include <cstdint>
 #include <cstdio>
 #include <span>
@@ -38,7 +37,6 @@ using agcm::simnet::Machine;
 using agcm::simnet::MachineProfile;
 using agcm::simnet::RankContext;
 using agcm::simnet::RunResult;
-using agcm::simnet::SimBackend;
 
 /// One virtual timestep: token ring + binomial reduce-to-0 + broadcast.
 /// ~3P messages per step, and nearly every recv parks the rank: the baton
@@ -95,11 +93,9 @@ struct Timed {
   RunResult result;
 };
 
-Timed time_run(SimBackend backend, int nranks, int steps, int trials,
-               int workers = 0) {
+Timed time_run(int nranks, int steps, int trials, int workers) {
   Machine machine(MachineProfile::cray_t3d());
-  machine.set_backend(backend);
-  if (workers > 0) machine.set_workers(workers);
+  machine.set_workers(workers);
   Timed out;
   for (int t = 0; t < trials; ++t) {
     const agcm::bench::Stopwatch sw;
@@ -128,79 +124,81 @@ int main(int argc, char** argv) {
   auto opts = agcm::bench::BenchOptions::parse(argc, argv, "simnet_sched");
   agcm::bench::JsonReport report(opts);
   agcm::bench::print_header(
-      "Simnet rank scheduling: thread-per-rank vs M:N fiber scheduler");
+      "Simnet rank scheduling: host cost per rank-step as P grows");
 
-  constexpr int kGateRanks = 64;
   constexpr int kSteps = 30;  // enough steps that steady-state park/wake
                               // cost dominates per-run machine setup
   constexpr int kTrials = 5;
-  constexpr double kSpeedupGate = 4.0;
+  constexpr double kRatioGate = 2.5;
 
-  // P=64 shoot-out (best-of-N wall clock; host noise is one-sided). The
-  // baton makes the workload sequential — at most one rank is runnable —
-  // so the fiber side is pinned to ONE worker: that is the right pool for
-  // the workload, and it keeps the measurement machine-independent (with
-  // a core-count pool, every hop would wake a *sleeping* worker — futex +
-  // cross-core handoff — and the gate would measure the host's core
-  // topology instead of the scheduler mechanism).
-  const Timed threads =
-      time_run(SimBackend::kThreads, kGateRanks, kSteps, kTrials);
-  const Timed fibers =
-      time_run(SimBackend::kFibers, kGateRanks, kSteps, kTrials,
-               /*workers=*/1);
-  const double speedup = threads.best_ms / fibers.best_ms;
-  const bool times_match = virtual_times_match(threads.result, fibers.result);
+  // Best-of-N wall clock (host noise is one-sided). The baton makes the
+  // workload sequential — at most one rank is runnable — so the gated runs
+  // are pinned to ONE worker: that is the right pool for the workload, and
+  // it keeps the measurement machine-independent (with a core-count pool,
+  // every hop would wake a *sleeping* worker — futex + cross-core handoff —
+  // and the gate would measure the host's core topology instead of the
+  // scheduler mechanism).
+  const Timed p64 = time_run(64, kSteps, kTrials, /*workers=*/1);
+  const Timed p64_pool = time_run(64, kSteps, /*trials=*/1, /*workers=*/0);
+  const Timed p256 = time_run(256, kSteps, kTrials, /*workers=*/1);
+  const Timed p1024 = time_run(1024, kSteps, kTrials, /*workers=*/1);
 
-  // Fiber scaling sweep up to the paper-scale P=1024 demonstration.
+  const auto us_per_rank_step = [](const Timed& t, int p) {
+    return t.best_ms * 1e3 / (static_cast<double>(p) * kSteps);
+  };
+  const double p64_us = us_per_rank_step(p64, 64);
+  const double p1024_us = us_per_rank_step(p1024, 1024);
+  const double ratio = p1024_us / p64_us;
+  const bool times_match = virtual_times_match(p64.result, p64_pool.result);
+  const bool sweep_ok =
+      p1024.result.finish_times.size() == static_cast<std::size_t>(1024);
+
   Table table("Scheduler wall clock (message-dominated step, best of " +
-                  std::to_string(kTrials) + ")",
-              {"P", "Backend", "Steps", "Wall ms", "ms/step", "Virtual s"});
-  auto add_row = [&](int p, const char* backend, const Timed& t, int steps) {
-    table.add_row({std::to_string(p), backend, std::to_string(steps),
-                   Table::num(t.best_ms, 2), Table::num(t.best_ms / steps, 3),
+                  std::to_string(kTrials) + " where W=1)",
+              {"P", "Workers", "Steps", "Wall ms", "us/rank-step",
+               "Virtual s"});
+  auto add_row = [&](int p, const char* workers, const Timed& t) {
+    table.add_row({std::to_string(p), workers, std::to_string(kSteps),
+                   Table::num(t.best_ms, 2),
+                   Table::num(us_per_rank_step(t, p), 3),
                    Table::num(t.result.makespan(), 4)});
   };
-  add_row(kGateRanks, "threads", threads, kSteps);
-  add_row(kGateRanks, "fibers", fibers, kSteps);
-
-  bool sweep_ok = true;
-  double p1024_ms = 0.0;
-  for (const int p : {256, 1024}) {
-    const int steps = p >= 1024 ? 5 : kSteps;
-    const Timed t = time_run(SimBackend::kFibers, p, steps, /*trials=*/1);
-    add_row(p, "fibers", t, steps);
-    sweep_ok = sweep_ok && t.result.finish_times.size() ==
-                               static_cast<std::size_t>(p);
-    if (p == 1024) p1024_ms = t.best_ms;
-  }
+  add_row(64, "1", p64);
+  add_row(64, "default", p64_pool);
+  add_row(256, "1", p256);
+  add_row(1024, "1", p1024);
   agcm::bench::emit_table(report, table);
 
   agcm::bench::print_note(
-      "gate: fibers >= " + Table::num(kSpeedupGate, 1) + "x threads at P=" +
-      std::to_string(kGateRanks) + " (got " + Table::num(speedup, 2) +
-      "x); virtual times " + (times_match ? "bit-identical" : "DIVERGED"));
+      "gate: host cost per rank-step at P=1024 <= " +
+      Table::num(kRatioGate, 1) + "x that at P=64 (got " +
+      Table::num(ratio, 2) + "x); virtual times at W=1 vs default W " +
+      (times_match ? "bit-identical" : "DIVERGED"));
 
-  report.set("p64_threads_ms", threads.best_ms);
-  report.set("p64_fibers_ms", fibers.best_ms);
-  report.set("p64_speedup", speedup);
-  report.set("gate_speedup_min", kSpeedupGate);
+  report.set("p64_wall_ms", p64.best_ms);
+  report.set("p64_us_per_rank_step", p64_us);
+  report.set("p1024_us_per_rank_step", p1024_us);
+  report.set("p1024_over_p64_ratio", ratio);
+  report.set("gate_ratio_max", kRatioGate);
   report.set("virtual_times_match", times_match);
-  report.set("p1024_wall_ms", p1024_ms);
+  report.set("p1024_wall_ms", p1024.best_ms);
   report.set("p1024_completed", sweep_ok);
 
   bool ok = true;
   if (!times_match) {
     std::fprintf(stderr,
-                 "virtual times diverged between thread and fiber backends\n");
+                 "virtual times diverged between 1 worker and the default "
+                 "worker pool\n");
     ok = false;
   }
-  if (speedup < kSpeedupGate) {
-    std::fprintf(stderr, "speedup gate failed: %.2fx (>= %.1fx required)\n",
-                 speedup, kSpeedupGate);
+  if (ratio > kRatioGate) {
+    std::fprintf(stderr,
+                 "P-scaling gate failed: %.2fx (<= %.1fx required)\n", ratio,
+                 kRatioGate);
     ok = false;
   }
   if (!sweep_ok) {
-    std::fprintf(stderr, "fiber scaling sweep did not complete\n");
+    std::fprintf(stderr, "P=1024 run did not complete\n");
     ok = false;
   }
   report.set("gates_passed", ok);

@@ -36,7 +36,6 @@ struct PaperTable {
 lb::ItemLists measure_physics_loads(NodeMesh mesh_spec) {
   const auto profile = simnet::MachineProfile::cray_t3d();
   simnet::Machine machine(profile);
-  machine.set_recv_timeout_ms(600'000);
   lb::ItemLists lists(static_cast<std::size_t>(mesh_spec.nodes()));
 
   machine.run(mesh_spec.nodes(), [&](simnet::RankContext& ctx) {

@@ -33,7 +33,6 @@ double measure_filter(const simnet::MachineProfile& machine_profile,
                       int nlev, filter::FilterAlgorithm algorithm,
                       NodeMesh mesh_spec) {
   simnet::Machine machine(machine_profile);
-  machine.set_recv_timeout_ms(600'000);
   std::vector<double> per_rank(static_cast<std::size_t>(mesh_spec.nodes()));
 
   machine.run(mesh_spec.nodes(), [&](simnet::RankContext& ctx) {

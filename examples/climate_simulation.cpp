@@ -29,7 +29,6 @@ int main(int argc, char** argv) {
   const int steps_per_quarter_day = 48;
 
   simnet::Machine machine(simnet::MachineProfile::cray_t3d());
-  machine.set_recv_timeout_ms(600'000);
 
   double mass_start = 0.0, mass_end = 0.0;
   double theta_mean_end = 0.0;

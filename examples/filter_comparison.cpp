@@ -38,7 +38,6 @@ int main(int argc, char** argv) {
   std::vector<double> reference;
   for (const auto algorithm : algorithms) {
     simnet::Machine machine(simnet::MachineProfile::intel_paragon());
-    machine.set_recv_timeout_ms(600'000);
     std::vector<double> u_global(static_cast<std::size_t>(nlon) * nlat * nlev);
     double virtual_sec = 0.0;
 

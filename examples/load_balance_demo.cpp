@@ -26,7 +26,6 @@ int main() {
       rows, cols);
 
   simnet::Machine machine(simnet::MachineProfile::cray_t3d());
-  machine.set_recv_timeout_ms(600'000);
 
   struct StepStats {
     double hour;

@@ -29,7 +29,6 @@ int main(int argc, char** argv) {
               revolution_days, nlon, nlat, rows, cols);
 
   simnet::Machine machine(simnet::MachineProfile::cray_t3d());
-  machine.set_recv_timeout_ms(600'000);
 
   struct ErrorRow {
     double t_days, l1, l2, linf, min_val;

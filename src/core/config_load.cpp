@@ -50,13 +50,6 @@ physics::PhysicsRegime parse_physics_regime(const std::string& name) {
   throw ConfigError("unknown physics_regime '" + name + "'");
 }
 
-simnet::SimBackend parse_sim_backend(const std::string& name) {
-  using simnet::SimBackend;
-  if (name == "fibers") return SimBackend::kFibers;
-  if (name == "threads") return SimBackend::kThreads;
-  throw ConfigError("unknown simnet_backend '" + name + "'");
-}
-
 RunSpec run_spec_from(const io::Config& config) {
   RunSpec spec;
   ModelConfig& model = spec.model;
@@ -90,9 +83,16 @@ RunSpec run_spec_from(const io::Config& config) {
       config.get_string("physics_regime", "equinox"));
   model.optimized_advection = config.get_bool("optimized_advection", false);
   model.seed = static_cast<std::uint64_t>(config.get_int("seed", 1996));
-  if (config.has("simnet_backend"))
-    model.simnet_backend =
-        parse_sim_backend(config.require_string("simnet_backend"));
+  // Kept only because hostbench/ calls it: the key accepts only "fibers".
+  if (config.has("simnet_backend")) {
+    const std::string backend = config.require_string("simnet_backend");
+    if (backend == "threads")
+      throw ConfigError(
+          "simnet_backend 'threads' was retired: ranks always run as fibers "
+          "(simnet_workers sizes the host worker pool)");
+    if (backend != "fibers")
+      throw ConfigError("unknown simnet_backend '" + backend + "'");
+  }
   model.simnet_workers = config.get_int("simnet_workers", 0);
   spec.steps = config.get_int("steps", 4);
   spec.warmup_steps = config.get_int("warmup_steps", 1);

@@ -35,7 +35,6 @@ simnet::MachineProfile parse_machine_profile(const std::string& name);
 /// "scheme3" aliases.
 lb::Scheme parse_lb_scheme(const std::string& name);
 physics::PhysicsRegime parse_physics_regime(const std::string& name);
-simnet::SimBackend parse_sim_backend(const std::string& name);
 
 /// Builds a RunSpec from a parsed config. Does not check unused_keys();
 /// callers that want typo warnings do that themselves after any extra keys

@@ -37,8 +37,6 @@ RunReport run_model(const ModelConfig& config, int steps, int warmup_steps) {
   check_config(warmup_steps >= 0, "warmup_steps must be >= 0");
 
   simnet::Machine machine(config.machine);
-  machine.set_recv_timeout_ms(config.recv_timeout_ms);
-  machine.set_backend(config.simnet_backend);
   machine.set_workers(config.simnet_workers);
   const int nranks = config.nranks();
 

@@ -49,12 +49,14 @@ struct ModelConfig {
 
   std::uint64_t seed = 1996;
   simnet::MachineProfile machine = simnet::MachineProfile::intel_paragon();
+  /// Kept only because hostbench/ calls it: unused.
   int recv_timeout_ms = 600'000;
-  /// Host-execution knobs for the simnet Machine (virtual-time neutral):
-  /// backend selection and the fiber worker-pool size. A campaign running
-  /// many machines concurrently caps each machine's pool so the host isn't
-  /// oversubscribed; 0 keeps the machine default (min(nranks, hardware)).
-  simnet::SimBackend simnet_backend = simnet::Machine::default_backend();
+  /// Kept only because hostbench/ calls it: unused.
+  simnet::SimBackend simnet_backend = simnet::SimBackend::kFibers;
+  /// Host-execution knob for the simnet Machine (virtual-time neutral): the
+  /// fiber worker-pool size. A campaign running many machines concurrently
+  /// caps each machine's pool so the host isn't oversubscribed; 0 keeps the
+  /// machine default (min(nranks, hardware)).
   int simnet_workers = 0;
 
   int nranks() const { return mesh_rows * mesh_cols; }

@@ -1,7 +1,5 @@
 #include "simnet/fiber.hpp"
 
-#if AGCM_SIMNET_HAS_FIBERS
-
 #include <sys/mman.h>
 #include <ucontext.h>
 #include <unistd.h>
@@ -296,9 +294,16 @@ class FiberScheduler {
     {
       std::vector<std::jthread> pool;
       pool.reserve(static_cast<std::size_t>(workers_));
-      for (int w = 0; w < workers_; ++w)
-        pool.emplace_back([this] { worker_main(); });
-    }
+      {
+        // Spawn every worker before any fiber runs: thread creation
+        // allocates, and under host load a late spawn would land inside a
+        // rank's allocation-free steady state (tests/test_comm_alloc.cpp).
+        // Each worker starts by taking mutex_, so holding it is the gate.
+        std::lock_guard<std::mutex> start_gate(mutex_);
+        for (int w = 0; w < workers_; ++w)
+          pool.emplace_back([this] { worker_main(); });
+      }
+    }  // workers join here
     if (first_error_) std::rethrow_exception(first_error_);
   }
 
@@ -334,7 +339,7 @@ class FiberScheduler {
           "simnet: mmap of fiber stack failed (" +
           std::to_string(f.stack_total) + " bytes for " +
           std::to_string(nfibers_) + " fibers); reduce AGCM_SIMNET_STACK_KB "
-          "or use AGCM_SIMNET_BACKEND=threads");
+          "or the number of ranks");
     ::mprotect(base, guard, PROT_NONE);
     f.stack_base = base;
     char* usable = static_cast<char*>(base) + guard;
@@ -560,5 +565,3 @@ void run_fibers(int count, const std::function<void(int)>& body,
 }
 
 }  // namespace agcm::simnet
-
-#endif  // AGCM_SIMNET_HAS_FIBERS

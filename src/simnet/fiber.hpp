@@ -1,25 +1,24 @@
 // M:N cooperative fiber scheduler for the virtual multicomputer.
 //
-// The thread-per-rank launcher (Machine's kThreads backend) parks one OS
-// thread per virtual rank on a condition variable at every blocking recv.
-// That caps useful machine sizes at a few dozen ranks: kernel context
-// switches and futex wakeups dominate the host cost of every virtual
-// message long before P reaches the paper's 240-node runs. This scheduler
-// replaces the OS thread with a *fiber* — a ucontext stackful coroutine
-// owning its own stack and per-rank ExecSlot — and runs P fibers on a
-// fixed pool of W worker threads (W ~ hardware concurrency). A fiber
-// yields only at virtual-time events that cannot proceed (today: a
-// blocking recv on an empty channel — barriers and clock waits are built
-// on recv); everything else runs straight through. Parking and waking a
-// fiber is a user-space context switch, so thousands of ranks sweep at
-// full host speed (bench/bench_simnet_sched.cpp gates the speedup,
+// Every rank of a Machine::run is a *fiber* — a stackful coroutine owning
+// its own stack and per-rank ExecSlot — and P fibers run on a fixed pool
+// of W worker threads (W ~ hardware concurrency). One OS thread per rank
+// would cap useful machine sizes at a few dozen ranks: kernel context
+// switches and futex wakeups would dominate the host cost of every virtual
+// message long before P reaches the paper's 240-node runs. A fiber yields
+// only at virtual-time events that cannot proceed (today: a blocking recv
+// on an empty channel — barriers and clock waits are built on recv);
+// everything else runs straight through. Parking and waking a fiber is a
+// user-space context switch, so thousands of ranks sweep at full host
+// speed (bench/bench_simnet_sched.cpp gates how host cost scales with P,
 // docs/simnet.md has the design).
 //
 // Determinism: the scheduler moves *host* execution around but never
 // touches a virtual clock, and per-(src,tag) channel FIFO order is
-// preserved by the mailbox exactly as under the thread backend — so
-// virtual times are bit-identical between backends (gated by
-// tests/test_simnet.cpp and the bench).
+// preserved by the mailbox whatever the interleaving — so virtual times
+// are bit-identical at any worker count and under any host schedule
+// (gated by FiberScheduler.VirtualTimesIndependentOfHostSchedule, which
+// jitters the schedule with seeded spins and yields).
 //
 // Blocking protocol (the park/unpark handshake with simnet::Mailbox):
 //   1. the fiber, holding the channel lock and finding the queue empty,
@@ -32,26 +31,15 @@
 //   3. a sender that finds a published waiter clears it and calls
 //      unpark(), which moves a parked fiber to the run queue.
 //
-// Deadlock detection replaces the thread backend's wall-clock recv
-// timeout: when every live fiber is parked (no fiber running, run queue
-// empty), no message can ever arrive — the scheduler declares the run
-// deadlocked and wakes all parked fibers, whose blocked recvs then throw
-// the same enriched CommError diagnostics as a thread-backend timeout,
-// immediately instead of after 60 real seconds.
+// Deadlock detection is by quiescence, not by wall clock: when every live
+// fiber is parked (no fiber running, run queue empty), no message can ever
+// arrive — the scheduler declares the run deadlocked and wakes all parked
+// fibers, whose blocked recvs then throw an enriched CommError listing the
+// pending channels, immediately.
 #pragma once
 
 #include <cstddef>
 #include <functional>
-
-#if defined(__has_include)
-#if __has_include(<ucontext.h>)
-#define AGCM_SIMNET_HAS_FIBERS 1
-#endif
-#endif
-
-#ifndef AGCM_SIMNET_HAS_FIBERS
-#define AGCM_SIMNET_HAS_FIBERS 0
-#endif
 
 namespace agcm::util {
 class ExecSlot;
@@ -63,9 +51,9 @@ class Fiber;
 class FiberScheduler;
 
 /// The fiber executing on the calling host thread, or nullptr when the
-/// caller is a plain thread (thread backend, unit tests, tools). The
-/// mailbox uses this to choose between the fiber park path and the
-/// condition-variable wait.
+/// caller is a plain thread (unit tests, tools). The mailbox parks a fiber
+/// on an empty channel; a plain thread has nothing to park and gets an
+/// immediate CommError instead.
 Fiber* current_fiber() noexcept;
 
 /// Scheduler configuration. Zero values resolve to defaults (and the
@@ -76,13 +64,10 @@ struct FiberSchedulerOptions {
                                 ///< committed; one guard page below)
 };
 
-#if AGCM_SIMNET_HAS_FIBERS
-
 /// Runs `count` fibers of `body(index)` to completion on a fixed worker
 /// pool, then rethrows the first exception any fiber threw (after all
-/// fibers have finished — mirroring the thread backend's join-then-rethrow
-/// contract). Each fiber owns a util::ExecSlot installed around every
-/// slice it runs, so per-rank workspaces are migration-safe.
+/// fibers have finished). Each fiber owns a util::ExecSlot installed
+/// around every slice it runs, so per-rank workspaces are migration-safe.
 void run_fibers(int count, const std::function<void(int)>& body,
                 const FiberSchedulerOptions& options);
 
@@ -120,7 +105,5 @@ class Fiber {
   struct Impl;
   Impl* impl_;
 };
-
-#endif  // AGCM_SIMNET_HAS_FIBERS
 
 }  // namespace agcm::simnet

@@ -1,16 +1,11 @@
 #include "simnet/machine.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
-#include <exception>
-#include <mutex>
-#include <string_view>
-#include <thread>
+#include <string>
 
 #include "simnet/fiber.hpp"
 #include "util/error.hpp"
-#include "util/exec_local.hpp"
 
 namespace agcm::simnet {
 
@@ -41,8 +36,7 @@ Buffer RankContext::recv_bytes(int src, std::int64_t tag) {
   if (src < 0 || src >= nranks()) {
     throw CommError("recv from invalid rank " + std::to_string(src));
   }
-  Packet packet =
-      network_->mailbox(rank_).pop(src, tag, network_->recv_timeout_ms());
+  Packet packet = network_->mailbox(rank_).pop(src, tag);
   const double arrival =
       packet.depart_time +
       clock_.profile().transfer_time(static_cast<double>(packet.payload.size()));
@@ -55,51 +49,10 @@ double RunResult::makespan() const {
   return *std::max_element(finish_times.begin(), finish_times.end());
 }
 
-SimBackend Machine::default_backend() {
-#if AGCM_SIMNET_HAS_FIBERS
-  const char* env = std::getenv("AGCM_SIMNET_BACKEND");
-  if (env != nullptr && std::string_view(env) == "threads")
-    return SimBackend::kThreads;
-  return SimBackend::kFibers;
-#else
-  return SimBackend::kThreads;
-#endif
-}
-
-void Machine::run_threads(int nranks,
-                          const std::function<void(RankContext&)>& program,
-                          std::vector<std::unique_ptr<RankContext>>& contexts) {
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-
-  {
-    std::vector<std::jthread> threads;
-    threads.reserve(static_cast<std::size_t>(nranks));
-    for (int r = 0; r < nranks; ++r) {
-      threads.emplace_back([&, r] {
-        // Per-rank local storage (workspaces) lives on an explicit slot
-        // under both backends, so the thread backend matches the fiber
-        // scheduler's workspace lifetime exactly (one per rank per run).
-        util::ExecSlot slot;
-        util::ExecSlot::Scope scope(&slot);
-        try {
-          program(*contexts[static_cast<std::size_t>(r)]);
-        } catch (...) {
-          std::lock_guard lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
-        }
-      });
-    }
-  }  // jthreads join here
-
-  if (first_error) std::rethrow_exception(first_error);
-}
-
 RunResult Machine::run(int nranks,
                        const std::function<void(RankContext&)>& program) {
   check_config(nranks > 0, "Machine::run requires nranks > 0");
   Network network(nranks);
-  network.set_recv_timeout_ms(recv_timeout_ms_);
 
   std::vector<std::unique_ptr<RankContext>> contexts;
   contexts.reserve(static_cast<std::size_t>(nranks));
@@ -107,20 +60,12 @@ RunResult Machine::run(int nranks,
     contexts.push_back(std::make_unique<RankContext>(r, network, profile_));
   }
 
-#if AGCM_SIMNET_HAS_FIBERS
-  if (backend_ == SimBackend::kFibers) {
-    FiberSchedulerOptions options;
-    options.workers = workers_;
-    run_fibers(
-        nranks,
-        [&](int r) { program(*contexts[static_cast<std::size_t>(r)]); },
-        options);
-  } else {
-    run_threads(nranks, program, contexts);
-  }
-#else
-  run_threads(nranks, program, contexts);
-#endif
+  FiberSchedulerOptions options;
+  options.workers = workers_;
+  run_fibers(
+      nranks,
+      [&](int r) { program(*contexts[static_cast<std::size_t>(r)]); },
+      options);
 
   return collect(nranks, network, contexts);
 }

@@ -1,9 +1,9 @@
 // The virtual multicomputer: runs an SPMD program with one rank *fiber* per
 // virtual node on a fixed worker pool (M:N scheduling — see simnet/fiber.hpp
-// and docs/simnet.md), with the original thread-per-rank launcher kept as a
-// selectable fallback backend. Real data moves between ranks (results are
+// and docs/simnet.md). Real data moves between ranks (results are
 // verifiable); the machine profile only prices the operations on each rank's
-// virtual clock, so both backends produce bit-identical virtual times.
+// virtual clock, so virtual times are bit-identical at any worker count and
+// under any host schedule.
 #pragma once
 
 #include <cstddef>
@@ -72,58 +72,37 @@ struct RunResult {
   double makespan() const;
 };
 
-/// How Machine::run executes rank programs on the host.
-enum class SimBackend {
-  kFibers,   ///< M:N fiber scheduler: worker pool ~ hardware concurrency,
-             ///< one stackful coroutine per rank (default; scales to
-             ///< thousands of ranks)
-  kThreads,  ///< one OS thread per rank (original launcher; fallback, and
-             ///< the reference for virtual-time bit-equality)
-};
+/// Kept only because hostbench/ calls it: ranks always run as fibers.
+enum class SimBackend { kFibers };
 
 /// Launches `nranks` instances of `program` (one rank fiber each, scheduled
-/// on a fixed worker pool — or one OS thread each under the kThreads
-/// fallback), waits for all of them and returns the virtual-time
-/// accounting. Exceptions thrown by any rank are rethrown here (first one
-/// wins) after all ranks have stopped.
+/// on a fixed worker pool), waits for all of them and returns the
+/// virtual-time accounting. Exceptions thrown by any rank are rethrown here
+/// (first one wins) after all ranks have stopped.
 class Machine {
  public:
-  explicit Machine(MachineProfile profile)
-      : profile_(std::move(profile)), backend_(default_backend()) {}
+  explicit Machine(MachineProfile profile) : profile_(std::move(profile)) {}
 
   const MachineProfile& profile() const { return profile_; }
 
-  /// Deadlock-detection timeout for blocking receives (real milliseconds).
-  /// Only meaningful under the kThreads backend; the fiber scheduler
-  /// detects deadlock by quiescence (all ranks parked) instead of by
-  /// wall-clock, so it reports immediately and this knob is unused there.
-  void set_recv_timeout_ms(int ms) { recv_timeout_ms_ = ms; }
+  /// Kept only because hostbench/ calls it: a no-op.
+  void set_recv_timeout_ms(int /*ms*/) {}
 
-  /// Overrides the execution backend for this machine. The process-wide
-  /// default is kFibers, or the AGCM_SIMNET_BACKEND environment variable
-  /// ("fibers" | "threads") when set.
-  void set_backend(SimBackend backend) { backend_ = backend; }
-  SimBackend backend() const { return backend_; }
+  /// Kept only because hostbench/ calls it: a no-op.
+  void set_backend(SimBackend /*backend*/) {}
 
-  /// Worker-pool size for the fiber backend; 0 (default) resolves to
+  /// Worker-pool size; 0 (default) resolves to
   /// min(nranks, hardware_concurrency), or AGCM_SIMNET_WORKERS when set.
+  /// Virtual-time neutral.
   void set_workers(int workers) { workers_ = workers; }
-
-  /// The backend a fresh Machine starts with (environment-resolved).
-  static SimBackend default_backend();
 
   RunResult run(int nranks, const std::function<void(RankContext&)>& program);
 
  private:
   RunResult collect(int nranks, Network& network,
                     const std::vector<std::unique_ptr<RankContext>>& contexts);
-  void run_threads(int nranks,
-                   const std::function<void(RankContext&)>& program,
-                   std::vector<std::unique_ptr<RankContext>>& contexts);
 
   MachineProfile profile_;
-  SimBackend backend_;
-  int recv_timeout_ms_ = 60'000;
   int workers_ = 0;
 };
 

@@ -1,7 +1,6 @@
 #include "simnet/network.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "simnet/fiber.hpp"
 #include "util/error.hpp"
@@ -11,8 +10,8 @@ namespace agcm::simnet {
 
 namespace {
 
-/// Shared tail of the two deadlock paths: describe what *is* queued so a
-/// tag or source mismatch is obvious from the error alone.
+/// Tail of the deadlock error: describe what *is* queued so a tag or
+/// source mismatch is obvious from the error alone.
 std::string describe_pending(const Mailbox& mailbox) {
   const auto infos = mailbox.pending_channels();
   if (infos.empty()) return "mailbox empty";
@@ -44,67 +43,41 @@ void Mailbox::push(Packet packet) {
   {
     std::lock_guard lock(ch.mutex);
     ch.queue.push(std::move(packet));
-#if AGCM_SIMNET_HAS_FIBERS
     // Scheduler-integrated wakeup: claim the parked receiving fiber (if
     // any) while holding the channel lock, unpark it after releasing — the
     // scheduler takes its own lock and must never nest inside a channel's.
     waiter = ch.waiter;
     ch.waiter = nullptr;
-#endif
   }
-#if AGCM_SIMNET_HAS_FIBERS
-  if (waiter != nullptr) {
-    waiter->unpark();
-    return;
-  }
-#else
-  (void)waiter;
-#endif
-  // Targeted wakeup for thread-backend receivers: at most one thread ever
-  // waits on a (src, tag) channel (the destination rank's receive), so
-  // notify_one is exact — no thundering herd across the rank's other
-  // outstanding receives.
-  ch.cv.notify_one();
+  if (waiter != nullptr) waiter->unpark();
 }
 
-Packet Mailbox::pop(int src, std::int64_t tag, int timeout_ms) {
+Packet Mailbox::pop(int src, std::int64_t tag) {
   Channel& ch = channel(src, tag);
-#if AGCM_SIMNET_HAS_FIBERS
-  if (Fiber* self = current_fiber()) {
-    // Fiber path: park instead of blocking the worker thread. Loop because
-    // a wake can also come from the scheduler's deadlock sweep.
-    for (;;) {
-      {
-        std::unique_lock lock(ch.mutex);
-        if (!ch.queue.empty()) return ch.queue.pop();
-        if (self->run_deadlocked()) break;
-        // Publish ourselves as the channel's waiter *after* flagging the
-        // parking state, both under the channel lock, so the sender that
-        // sees the waiter is guaranteed a well-formed unpark target.
-        self->prepare_park();
-        ch.waiter = self;
-      }
-      self->park();
+  Fiber* self = current_fiber();
+  // Park instead of blocking the worker thread. Loop because a wake can
+  // also come from the scheduler's deadlock sweep.
+  for (;;) {
+    {
+      std::lock_guard lock(ch.mutex);
+      if (!ch.queue.empty()) return ch.queue.pop();
+      // A plain thread has no fiber to park, so for it an empty channel
+      // is final.
+      if (self == nullptr || self->run_deadlocked()) break;
+      // Publish ourselves as the channel's waiter *after* flagging the
+      // parking state, both under the channel lock, so the sender that
+      // sees the waiter is guaranteed a well-formed unpark target.
+      self->prepare_park();
+      ch.waiter = self;
     }
-    throw CommError(strformat(
-        "recv deadlock: every live rank is blocked while waiting for "
-        "message src={} tag={} (likely deadlock or tag mismatch); {}",
-        src, tag, describe_pending(*this)));
+    self->park();
   }
-#endif
-  std::unique_lock lock(ch.mutex);
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  const bool ok =
-      ch.cv.wait_until(lock, deadline, [&] { return !ch.queue.empty(); });
-  if (!ok) {
-    lock.unlock();
-    throw CommError(strformat(
-        "recv timeout after {} ms waiting for message src={} tag={} "
-        "(likely deadlock or tag mismatch); {}",
-        timeout_ms, src, tag, describe_pending(*this)));
-  }
-  return ch.queue.pop();
+  throw CommError(strformat(
+      "recv deadlock: {} while waiting for message src={} tag={} "
+      "(likely deadlock or tag mismatch); {}",
+      self == nullptr ? "no rank fiber to park (off-machine receive)"
+                      : "every live rank is blocked",
+      src, tag, describe_pending(*this)));
 }
 
 std::size_t Mailbox::pending() const {

@@ -16,16 +16,14 @@
 // guards the table and is held only for that lookup/insert: one array
 // index plus a scan of a few tags.
 //
-// The wakeup slot is scheduler-integrated: under the fiber backend the
-// blocked receive publishes its Fiber* as the channel's waiter and parks
-// (a user-space context switch), and the sender unparks exactly that fiber;
-// under the thread backend the same slot role is played by the channel's
-// condition variable (notify_one). At most one receiver ever waits on a
-// (src, tag) channel — the destination rank — so both wakeups are exact.
+// The wakeup slot is scheduler-integrated: the blocked receive publishes
+// its Fiber* as the channel's waiter and parks (a user-space context
+// switch), and the sender unparks exactly that fiber. At most one receiver
+// ever waits on a (src, tag) channel — the destination rank — so the
+// wakeup is exact.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -98,31 +96,27 @@ class Mailbox {
  public:
   void push(Packet packet);
 
-  /// Blocks until a packet from (src, tag) is available; FIFO per channel.
-  /// Throws CommError on deadlock, with a message listing every channel
-  /// that has queued packets so a tag mismatch or ordering deadlock is
-  /// visible at a glance. On a fiber the call parks the calling fiber and
-  /// deadlock is detected by scheduler quiescence (immediately); on a plain
-  /// thread it waits on the channel's condition variable and deadlock is a
-  /// `timeout_ms` real-time timeout.
-  Packet pop(int src, std::int64_t tag, int timeout_ms);
+  /// Returns the next packet from (src, tag); FIFO per channel. On an
+  /// empty channel a rank fiber parks until the packet arrives. Throws
+  /// CommError on deadlock (detected by scheduler quiescence), or at once
+  /// when the caller is a plain thread with no fiber to park; the message
+  /// lists every channel that has queued packets so a tag mismatch or
+  /// ordering deadlock is visible at a glance.
+  Packet pop(int src, std::int64_t tag);
 
   /// Number of queued packets across all channels (diagnostics).
   std::size_t pending() const;
 
   /// Per-channel queue depths for every non-empty channel, sorted by
-  /// (src, tag) — the payload of the enriched timeout diagnostics.
+  /// (src, tag) — the payload of the enriched deadlock diagnostics.
   std::vector<ChannelInfo> pending_channels() const;
 
  private:
   /// One FIFO channel shard: own lock, own queue, own wakeup. `waiter` is
-  /// the fiber-backend wakeup slot (guarded by `mutex`): the parked
-  /// receiver, published just before it switches out, cleared by the sender
-  /// that wakes it. The condition variable serves the same role for
-  /// thread-backend receivers.
+  /// the wakeup slot (guarded by `mutex`): the parked receiver, published
+  /// just before it switches out, cleared by the sender that wakes it.
   struct Channel {
     std::mutex mutex;
-    std::condition_variable cv;
     Fiber* waiter = nullptr;
     PacketRing queue;
   };
@@ -136,7 +130,7 @@ class Mailbox {
   /// Finds or creates the channel shard for (src, tag): one index by source
   /// plus a scan of the few tags that source uses. Channels are created on
   /// first touch and live for the mailbox's lifetime (stable addresses, so
-  /// waiting threads never hold the table lock).
+  /// parked receivers never hold the table lock).
   Channel& channel(int src, std::int64_t tag);
 
   mutable std::mutex table_mutex_;
@@ -157,10 +151,6 @@ class Network {
   /// The recycling payload pool shared by every rank of this network.
   BufferPool& pool() { return pool_; }
 
-  /// Deadlock-detection timeout for blocking receives (real milliseconds).
-  void set_recv_timeout_ms(int ms) { timeout_ms_ = ms; }
-  int recv_timeout_ms() const { return timeout_ms_; }
-
   /// Global traffic counters (atomic, aggregated across ranks).
   void count_message(std::size_t bytes);
   std::uint64_t total_messages() const;
@@ -172,7 +162,6 @@ class Network {
   BufferPool pool_;  ///< declared before mailboxes_: queued packets release
                      ///< their buffers into the pool during destruction
   std::vector<Mailbox> mailboxes_;
-  int timeout_ms_ = 60'000;
   std::atomic<std::uint64_t> messages_{0};
   std::atomic<std::uint64_t> bytes_{0};
 };

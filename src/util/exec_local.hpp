@@ -1,20 +1,17 @@
 // Per-execution-slot local storage: the explicit replacement for
 // "thread_local = per-rank" state.
 //
-// The original simnet ran one host thread per virtual rank, so every
-// library that needed per-rank scratch (fft plan caches, kernel flux
-// arrays, filter exchange-size vectors) reached for `thread_local` and the
-// equivalence was exact. The fiber scheduler breaks that equivalence: many
-// rank fibers share one worker thread, and a fiber that parks inside a
-// blocking recv while holding a workspace borrow must not see another
-// fiber's hands in the same buffers when it resumes — possibly on a
-// *different* worker thread.
+// Libraries that need per-rank scratch (fft plan caches, kernel flux
+// arrays, filter exchange-size vectors) cannot use `thread_local` for it:
+// under the fiber scheduler many rank fibers share one worker thread, and a
+// fiber that parks inside a blocking recv while holding a workspace borrow
+// must not see another fiber's hands in the same buffers when it resumes —
+// possibly on a *different* worker thread.
 //
-// An `ExecSlot` is the per-rank handle that restores the old contract
-// explicitly. Each rank of an SPMD run owns exactly one slot for the run's
-// lifetime (the fiber scheduler keeps it on the fiber; the thread backend
-// keeps it on the rank thread), and the running backend *installs* it
-// around every slice of rank code it executes. Library code acquires
+// An `ExecSlot` is the per-rank handle that makes the contract explicit.
+// Each rank of an SPMD run owns exactly one slot for the run's lifetime
+// (the fiber scheduler keeps it on the fiber) and the scheduler *installs*
+// it around every slice of rank code it executes. Library code acquires
 // per-rank state through `ExecSlot::current()`:
 //
 //     if (util::ExecSlot* slot = util::ExecSlot::current())
@@ -23,8 +20,8 @@
 //     return fallback;
 //
 // `get<T>()` lazily default-constructs one T per (slot, type) and owns it
-// until the slot dies at the end of the run — so workspace lifetime per
-// rank is identical under both backends, and the growth-only allocation
+// until the slot dies at the end of the run — so workspace lifetime is one
+// per rank per run at any worker count, and the growth-only allocation
 // contract ("allocation-free after warm-up") keeps holding: the single
 // construction *is* the warm-up.
 #pragma once
@@ -48,7 +45,7 @@ int exec_local_key() {
 
 /// One rank's local storage: a type-indexed table of lazily constructed
 /// singletons. Not thread-safe by itself — a slot is only ever touched by
-/// the one rank that owns it (the backend guarantees a slot is installed
+/// the one rank that owns it (the scheduler guarantees a slot is installed
 /// on at most one host thread at a time).
 class ExecSlot {
  public:
@@ -73,12 +70,11 @@ class ExecSlot {
   }
 
   /// The slot installed on the calling host thread, or nullptr when the
-  /// caller runs outside any SPMD backend (unit tests, tools, benches
-  /// driving kernels directly).
+  /// caller runs outside any SPMD run (unit tests, tools, benches driving
+  /// kernels directly).
   static ExecSlot* current() noexcept;
 
-  /// RAII installer used by the simnet backends: the thread backend holds
-  /// one Scope for the whole rank program; the fiber scheduler installs the
+  /// RAII installer used by the simnet fiber scheduler: it installs the
   /// fiber's slot before every resume and restores on every park.
   class Scope {
    public:

@@ -1,9 +1,9 @@
 // Campaign engine tests: matrix expansion from the campaign config
 // dialect, config hashing, the JSON-lines store, and — the load-bearing
 // property — cross-experiment isolation: a cell served concurrently next
-// to other experiments, with the shared immutable caches on or off, on
-// either simnet backend, produces byte-for-byte the results of the same
-// cell run standalone. Also the lb_scheme / physics_regime config knobs
+// to other experiments, with the shared immutable caches on or off, at any
+// fiber worker count, produces byte-for-byte the results of the same cell
+// run standalone. Also the lb_scheme / physics_regime config knobs
 // the campaign axes sweep (ISSUE 9 satellites).
 #include <gtest/gtest.h>
 
@@ -129,7 +129,6 @@ TEST(CampaignMatrix, HashIgnoresHostExecutionKnobs) {
   const std::string base = campaign::canonical_config(spec);
 
   core::RunSpec host = spec;
-  host.model.simnet_backend = simnet::SimBackend::kThreads;
   host.model.simnet_workers = 7;
   host.model.recv_timeout_ms = 1;
   EXPECT_EQ(campaign::canonical_config(host), base);
@@ -140,6 +139,23 @@ TEST(CampaignMatrix, HashIgnoresHostExecutionKnobs) {
   core::RunSpec res = spec;
   res.model.nlev += 1;
   EXPECT_NE(campaign::canonical_config(res), base);
+}
+
+TEST(RunSpec, RetiredThreadsBackendIsAConfigError) {
+  const std::string base = "mesh_rows = 1\nmesh_cols = 1\n";
+  EXPECT_NO_THROW(core::run_spec_from(
+      io::Config::from_string(base + "simnet_backend = fibers\n")));
+  try {
+    core::run_spec_from(
+        io::Config::from_string(base + "simnet_backend = threads\n"));
+    FAIL() << "simnet_backend = threads should be rejected";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("retired"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(core::run_spec_from(io::Config::from_string(
+                   base + "simnet_backend = bogus\n")),
+               ConfigError);
 }
 
 TEST(CampaignStore, RecordsCarrySchemaAndBreakdown) {
@@ -202,15 +218,33 @@ TEST(CampaignIsolation, SharedCachesAreResultNeutral) {
   EXPECT_EQ(with_caches, without_caches);
 }
 
-TEST(CampaignIsolation, ThreadsBackendMatchesFibers) {
-  Campaign matrix = small_matrix();
-  const std::string fibers = run_store(matrix, 2);
-  for (Cell& cell : matrix.cells)
-    cell.spec.model.simnet_backend = simnet::SimBackend::kThreads;
-  const std::string threads = run_store(matrix, 2);
-  // The backend is a host-execution knob: same canonical configs, same
-  // hashes, same bytes.
-  EXPECT_EQ(fibers, threads);
+TEST(CampaignIsolation, WorkerCountIsResultNeutral) {
+  // The small matrix on a 2x2 mesh, so the fiber workers really share ranks.
+  const Campaign matrix = campaign::campaign_from(io::Config::from_string(
+      R"(campaign = unit
+nlon = 48
+nlat = 30
+nlev = 3
+mesh_rows = 2
+mesh_cols = 2
+steps = 1
+warmup_steps = 1
+sweep_machines = paragon, t3d
+sweep_lb_schemes = none, pairwise
+)"));
+  RunnerOptions options;
+  options.concurrency = 2;
+  options.workers_per_machine = 1;
+  const std::string one_worker = campaign::store_lines(
+      matrix.name, campaign::run_campaign(matrix, options),
+      /*include_wall=*/false);
+  options.workers_per_machine = 0;  // each machine's default pool
+  const std::string default_workers = campaign::store_lines(
+      matrix.name, campaign::run_campaign(matrix, options),
+      /*include_wall=*/false);
+  // The worker count is a host-execution knob: same canonical configs,
+  // same hashes, same bytes.
+  EXPECT_EQ(one_worker, default_workers);
 }
 
 TEST(CampaignRunner, ResultsKeepMatrixOrderAtAnyConcurrency) {

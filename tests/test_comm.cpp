@@ -21,7 +21,6 @@ using simnet::RankContext;
 
 Machine make_machine() {
   Machine machine(MachineProfile::ideal());
-  machine.set_recv_timeout_ms(10'000);
   return machine;
 }
 
@@ -572,7 +571,6 @@ TEST(Comm, MessageCostFlowsThroughCollectives) {
   simnet::MachineProfile p = simnet::MachineProfile::ideal();
   p.msg_latency_sec = 1.0;
   Machine machine(p);
-  machine.set_recv_timeout_ms(10'000);
   const auto result = machine.run(4, [](RankContext& ctx) {
     Communicator comm(ctx);
     std::vector<double> data(1, 0.0);

@@ -86,7 +86,6 @@ TEST(AllocationHook, CountsHeapTraffic) {
 TEST(CommAllocFree, HaloExchangeAfterWarmup) {
   const int rows = 2, cols = 2, nlon = 24, nlat = 16, nlev = 3;
   Machine machine(MachineProfile::ideal());
-  machine.set_recv_timeout_ms(20'000);
   machine.run(rows * cols, [&](RankContext& ctx) {
     Communicator world(ctx);
     // Deterministic zero-alloc assertion under any thread interleaving:
@@ -132,7 +131,6 @@ TEST(CommAllocFree, FilterTransposeAfterWarmup) {
                                 {{"u", filter::FilterKind::kStrong},
                                  {"t", filter::FilterKind::kWeak}});
   Machine machine(MachineProfile::ideal());
-  machine.set_recv_timeout_ms(20'000);
   machine.run(rows * cols, [&](RankContext& ctx) {
     Communicator world(ctx);
     if (world.rank() == 0) ctx.network().pool().prewarm(128, 1 << 16);
@@ -183,7 +181,6 @@ TEST(CommAllocFree, DenseAlltoallvPackedAfterWarmup) {
     return static_cast<std::size_t>(48 + 29 * ((7 * src + 3 * dst) % 23));
   };
   Machine machine(MachineProfile::ideal());
-  machine.set_recv_timeout_ms(20'000);
   machine.run(p, [&](RankContext& ctx) {
     Communicator world(ctx);
     // Peak concurrency per class is at most one buffer per rank pair.

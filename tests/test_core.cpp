@@ -3,6 +3,10 @@
 // machines, load balancing) at miniature scale, and configuration checks.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "core/model.hpp"
 #include "util/stats.hpp"
 
@@ -17,7 +21,6 @@ ModelConfig small_config() {
   cfg.mesh_rows = 2;
   cfg.mesh_cols = 2;
   cfg.dt_sec = 300.0;
-  cfg.recv_timeout_ms = 120'000;
   return cfg;
 }
 
@@ -162,6 +165,51 @@ TEST(RunModel, FifteenLayerCostsMoreThanNine) {
   const auto r9 = run_model(nine, 1, 0);
   const auto r15 = run_model(fifteen, 1, 0);
   EXPECT_GT(r15.total_per_day(), r9.total_per_day());
+}
+
+/// Every virtual field of a report, as raw bits (host-independent parts
+/// only: no wall clock is reported).
+std::vector<std::uint64_t> virtual_bits(const RunReport& r) {
+  std::vector<double> values = {
+      r.steps_per_day, r.per_step.filter, r.per_step.halo, r.per_step.fd,
+      r.per_step.physics_compute, r.per_step.physics_balance,
+      r.physics_imbalance_before, r.physics_imbalance_after,
+      r.mass_drift_rel, r.max_zonal_courant, r.max_gravity_courant,
+      r.filter_setup_sec};
+  for (const PhasePercentiles* p :
+       {&r.percentiles.filter, &r.percentiles.halo, &r.percentiles.fd,
+        &r.percentiles.physics_compute, &r.percentiles.physics_balance}) {
+    values.insert(values.end(), {p->p50, p->p95, p->p99});
+  }
+  values.insert(values.end(), r.rank_physics_flops.begin(),
+                r.rank_physics_flops.end());
+  for (const simnet::TimeBreakdown& b : r.rank_breakdowns)
+    values.insert(values.end(), {b.compute, b.overhead, b.wait});
+  std::vector<std::uint64_t> bits;
+  for (const double v : values) bits.push_back(std::bit_cast<std::uint64_t>(v));
+  bits.push_back(static_cast<std::uint64_t>(r.steps));
+  bits.push_back(r.total_messages);
+  bits.push_back(r.total_bytes);
+  return bits;
+}
+
+TEST(RunModel, WorkerCountIsResultNeutralWithLoadBalancing) {
+  // The fiber worker-pool size only moves host execution around. Scheme 3
+  // load balancing has the most data-dependent message pattern in the
+  // model, so its report must be bitwise equal at 1 and 3 workers.
+  ModelConfig cfg = small_config();
+  cfg.nlon = 48;
+  cfg.nlat = 30;
+  cfg.mesh_rows = 2;
+  cfg.mesh_cols = 4;
+  cfg.physics_load_balance = true;
+  cfg.lb_scheme = lb::Scheme::kPairwise;
+  cfg.simnet_workers = 1;
+  const RunReport one = run_model(cfg, 2, 1);
+  cfg.simnet_workers = 3;
+  const RunReport three = run_model(cfg, 2, 1);
+  EXPECT_GT(one.physics_imbalance_before, 0.0);
+  EXPECT_EQ(virtual_bits(one), virtual_bits(three));
 }
 
 }  // namespace

@@ -51,7 +51,6 @@ GlobalRun run_on_mesh(int rows, int cols, int steps, DynamicsConfig cfg,
   out.q.resize(total);
 
   Machine machine(MachineProfile::intel_paragon());
-  machine.set_recv_timeout_ms(60'000);
   machine.run(rows * cols, [&](RankContext& ctx) {
     Communicator world(ctx);
     Mesh2D mesh(world, rows, cols);
@@ -336,7 +335,6 @@ TEST(Dynamics, PolarFilterKeepsPolarNoiseBounded) {
 
 TEST(Dynamics, CourantDiagnosticsReflectTimestep) {
   Machine machine(MachineProfile::ideal());
-  machine.set_recv_timeout_ms(30'000);
   machine.run(1, [&](RankContext& ctx) {
     Communicator world(ctx);
     Mesh2D mesh(world, 1, 1);
@@ -361,7 +359,6 @@ TEST(Dynamics, CourantDiagnosticsReflectTimestep) {
 
 TEST(Dynamics, TimingsArePopulatedAndPositive) {
   Machine machine(MachineProfile::intel_paragon());
-  machine.set_recv_timeout_ms(30'000);
   machine.run(4, [&](RankContext& ctx) {
     Communicator world(ctx);
     Mesh2D mesh(world, 2, 2);
@@ -387,7 +384,6 @@ TEST(Advection, SolidBodyRotationCarriesBlobAroundTheGlobe) {
   // way around — and its mass must be conserved exactly. First-order
   // upwind diffuses the blob but cannot move mass at the wrong speed.
   Machine machine(MachineProfile::ideal());
-  machine.set_recv_timeout_ms(60'000);
   machine.run(6, [&](RankContext& ctx) {
     Communicator world(ctx);
     Mesh2D mesh(world, 2, 3);
@@ -468,7 +464,6 @@ TEST(Advection, SolidBodyRotationCarriesBlobAroundTheGlobe) {
 
 TEST(Dynamics, EnergyStaysBoundedAndNearlyConserved) {
   Machine machine(MachineProfile::ideal());
-  machine.set_recv_timeout_ms(60'000);
   machine.run(4, [&](RankContext& ctx) {
     Communicator world(ctx);
     Mesh2D mesh(world, 2, 2);
@@ -494,7 +489,6 @@ TEST(Dynamics, EnergyIsDecompositionInvariant) {
        {std::tuple<int, int, double*>{1, 1, &e_serial},
         std::tuple<int, int, double*>{2, 3, &e_parallel}}) {
     Machine machine(MachineProfile::ideal());
-    machine.set_recv_timeout_ms(60'000);
     machine.run(rows * cols, [&, rows = rows, cols = cols,
                               out = out](RankContext& ctx) {
       Communicator world(ctx);

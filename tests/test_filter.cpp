@@ -249,7 +249,6 @@ TEST_P(VariantSweep, MatchesSerialReference) {
   }
 
   Machine machine(MachineProfile::intel_paragon());
-  machine.set_recv_timeout_ms(20'000);
   machine.run(param.rows * param.cols, [&](RankContext& ctx) {
     Communicator world(ctx);
     Mesh2D mesh(world, param.rows, param.cols);
@@ -364,7 +363,6 @@ TEST_P(RingPin, BitwiseEqualsPerTapModuloLoopOnEveryTier) {
     if (!simd::force_tier(tier)) continue;
     SCOPED_TRACE(::testing::Message() << "tier=" << simd::tier_name(tier));
     Machine machine(MachineProfile::intel_paragon());
-    machine.set_recv_timeout_ms(20'000);
     machine.run(p.rows * p.cols, [&](RankContext& ctx) {
       Communicator world(ctx);
       Mesh2D mesh(world, p.rows, p.cols);
@@ -441,7 +439,6 @@ TEST(BalancedPlan, EveryRowHoldsNearIdealShare) {
   for (auto [rows, cols] : {std::pair{2, 2}, std::pair{4, 3}, std::pair{6, 1},
                             std::pair{3, 4}}) {
     Machine machine(MachineProfile::ideal());
-    machine.set_recv_timeout_ms(10'000);
     machine.run(rows * cols, [&, rows = rows, cols = cols](RankContext& ctx) {
       Communicator world(ctx);
       Mesh2D mesh(world, rows, cols);
@@ -464,7 +461,6 @@ TEST(BalancedPlan, RedistributeRestoreRoundTrip) {
   const LatLonGrid grid(nlon, nlat, nlev);
   const FilterBank bank(grid, {{"a", FilterKind::kStrong}});
   Machine machine(MachineProfile::ideal());
-  machine.set_recv_timeout_ms(10'000);
   machine.run(4, [&](RankContext& ctx) {
     Communicator world(ctx);
     Mesh2D mesh(world, 4, 1);
@@ -490,7 +486,6 @@ TEST(RowTranspose, ToLinesToChunksRoundTrip) {
   const LatLonGrid grid(nlon, nlat, nlev);
   const FilterBank bank(grid, {{"a", FilterKind::kStrong}});
   Machine machine(MachineProfile::ideal());
-  machine.set_recv_timeout_ms(10'000);
   machine.run(4, [&](RankContext& ctx) {
     Communicator world(ctx);
     Mesh2D mesh(world, 1, 4);
@@ -535,7 +530,6 @@ TEST(BalancedFilter, SetupCostIsRecordedOnce) {
   const LatLonGrid grid(24, 16, 2);
   const FilterBank bank(grid, {{"a", FilterKind::kStrong}});
   Machine machine(MachineProfile::intel_paragon());
-  machine.set_recv_timeout_ms(10'000);
   machine.run(4, [&](RankContext& ctx) {
     Communicator world(ctx);
     Mesh2D mesh(world, 2, 2);
@@ -568,7 +562,6 @@ TEST(ImplicitZonal, PreservesZonalMeanAndDampsNoise) {
   const LatLonGrid grid(nlon, nlat, nlev);
   const FilterBank bank(grid, {{"a", FilterKind::kStrong}});
   Machine machine(MachineProfile::cray_t3d());
-  machine.set_recv_timeout_ms(20'000);
   machine.run(8, [&](RankContext& ctx) {
     Communicator world(ctx);
     Mesh2D mesh(world, 2, 4);
@@ -616,7 +609,6 @@ TEST(ImplicitZonal, DecompositionInvariant) {
     std::vector<double> out(static_cast<std::size_t>(nlon) * nlat * nlev *
                             2);
     Machine machine(MachineProfile::ideal());
-    machine.set_recv_timeout_ms(20'000);
     machine.run(rows * cols, [&](RankContext& ctx) {
       Communicator world(ctx);
       Mesh2D mesh(world, rows, cols);

@@ -265,7 +265,6 @@ TEST_P(HaloSweep, GhostsMatchGlobalField) {
   const auto [rows, cols] = GetParam();
   const int nlon = 12, nlat = 8, nlev = 2;
   Machine machine(MachineProfile::ideal());
-  machine.set_recv_timeout_ms(10'000);
   machine.run(rows * cols, [&](RankContext& ctx) {
     Communicator world(ctx);
     Mesh2D mesh(world, rows, cols);
@@ -380,7 +379,6 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(HaloBatched, MatchesPerFieldExchangeBitExact) {
   const int rows = 2, cols = 2, nlon = 12, nlat = 8, nlev = 3;
   Machine machine(MachineProfile::ideal());
-  machine.set_recv_timeout_ms(10'000);
   machine.run(rows * cols, [&](RankContext& ctx) {
     Communicator world(ctx);
     Mesh2D mesh(world, rows, cols);
@@ -419,7 +417,6 @@ TEST(HaloBatched, MatchesPerFieldExchangeBitExact) {
 TEST(HaloBatched, AggregateModeMovesTheSameData) {
   const int rows = 2, cols = 2, nlon = 12, nlat = 8, nlev = 2;
   Machine machine(MachineProfile::ideal());
-  machine.set_recv_timeout_ms(10'000);
   machine.run(rows * cols, [&](RankContext& ctx) {
     Communicator world(ctx);
     Mesh2D mesh(world, rows, cols);
@@ -461,7 +458,6 @@ TEST(HaloBatched, AggregateSendsFewerMessages) {
   // single-field per-field run is the additive baseline.
   auto count_messages = [&](HaloMode mode, int nfields) {
     Machine machine(MachineProfile::ideal());
-    machine.set_recv_timeout_ms(10'000);
     const auto result = machine.run(rows * cols, [&](RankContext& ctx) {
       Communicator world(ctx);
       Mesh2D mesh(world, rows, cols);
@@ -503,7 +499,6 @@ TEST(HaloBatched, RejectsMismatchedShapes) {
 
 TEST(Halo, PolarGhostRowsAreLeftUntouched) {
   Machine machine(MachineProfile::ideal());
-  machine.set_recv_timeout_ms(10'000);
   machine.run(1, [&](RankContext& ctx) {
     Communicator world(ctx);
     Mesh2D mesh(world, 1, 1);

@@ -209,7 +209,6 @@ TEST_P(GatherScatterSweep, StateSurvivesGatherWriteReadScatter) {
                               "x" + std::to_string(cols) + ".hist");
 
   Machine machine(MachineProfile::ideal());
-  machine.set_recv_timeout_ms(30'000);
   machine.run(rows * cols, [&](RankContext& ctx) {
     Communicator world(ctx);
     Mesh2D mesh(world, rows, cols);
@@ -256,7 +255,6 @@ INSTANTIATE_TEST_SUITE_P(Meshes, GatherScatterSweep,
 
 TEST(GatherScatter, DimensionMismatchRejected) {
   Machine machine(MachineProfile::ideal());
-  machine.set_recv_timeout_ms(10'000);
   EXPECT_THROW(
       machine.run(1,
                   [&](RankContext& ctx) {

@@ -107,7 +107,6 @@ TEST(KernelAllocFree, ColumnPhysicsAfterWarmup) {
 TEST(KernelAllocFree, WarmDynamicsPlusPhysicsStep) {
   const int nlon = 24, nlat = 16, nlev = 3;
   Machine machine(MachineProfile::ideal());
-  machine.set_recv_timeout_ms(20'000);
   machine.run(1, [&](RankContext& ctx) {
     Communicator world(ctx);
     ctx.network().pool().prewarm(128, 1 << 16);

@@ -154,7 +154,6 @@ TEST_P(DistributedSweep, MatchesSerialThomas) {
   const auto expected = thomas_solve(sys.a, sys.b, sys.c, sys.d);
 
   Machine machine(MachineProfile::ideal());
-  machine.set_recv_timeout_ms(20'000);
   std::vector<double> assembled(static_cast<std::size_t>(n_global));
   machine.run(p, [&](RankContext& ctx) {
     Communicator comm(ctx);
@@ -192,7 +191,6 @@ TEST(Distributed, SingleRowPerRank) {
   const System sys = random_system(p, 77);
   const auto expected = thomas_solve(sys.a, sys.b, sys.c, sys.d);
   Machine machine(MachineProfile::ideal());
-  machine.set_recv_timeout_ms(20'000);
   std::vector<double> assembled(static_cast<std::size_t>(p));
   machine.run(p, [&](RankContext& ctx) {
     Communicator comm(ctx);
@@ -216,7 +214,6 @@ TEST_P(PeriodicDistributedSweep, MatchesSerialPeriodicThomas) {
   const auto expected = periodic_thomas_solve(sys.a, sys.b, sys.c, sys.d);
 
   Machine machine(MachineProfile::ideal());
-  machine.set_recv_timeout_ms(20'000);
   std::vector<double> assembled(static_cast<std::size_t>(n_global));
   machine.run(p, [&](RankContext& ctx) {
     Communicator comm(ctx);
@@ -249,7 +246,6 @@ TEST(PeriodicDistributed, ConstantRhsWithDiffusionOperatorIsInvariant) {
   // eigenvectors with eigenvalue 1, so x = c exactly — the property that
   // makes the implicit zonal filter conserve the zonal mean.
   Machine machine(MachineProfile::ideal());
-  machine.set_recv_timeout_ms(20'000);
   machine.run(4, [&](RankContext& ctx) {
     Communicator comm(ctx);
     const int mine = 5;
@@ -270,7 +266,6 @@ TEST(Batched, ManySystemsMatchPerSystemSolves) {
     systems.push_back(random_system(n_global, 4000 + static_cast<std::uint64_t>(q)));
 
   Machine machine(MachineProfile::ideal());
-  machine.set_recv_timeout_ms(20'000);
   machine.run(p, [&](RankContext& ctx) {
     Communicator comm(ctx);
     const int offset = comm.rank() * n_local;
@@ -312,7 +307,6 @@ TEST(Batched, PeriodicManyMatchesSerialReference) {
                                              systems.back().d));
   }
   Machine machine(MachineProfile::ideal());
-  machine.set_recv_timeout_ms(20'000);
   machine.run(p, [&](RankContext& ctx) {
     Communicator comm(ctx);
     const int offset = comm.rank() * n_local;
@@ -341,7 +335,6 @@ TEST(Batched, BatchingSavesMessagesVsPerLineSolves) {
   const int p = 4, m = 20, n_local = 5;
   auto count_messages = [&](bool batched) {
     Machine machine(MachineProfile::ideal());
-    machine.set_recv_timeout_ms(20'000);
     const System sys = random_system(p * n_local, 6000, true);
     const auto result = machine.run(p, [&](RankContext& ctx) {
       Communicator comm(ctx);
@@ -375,7 +368,6 @@ TEST(Batched, BatchingSavesMessagesVsPerLineSolves) {
 
 TEST(Distributed, ChargesVirtualTime) {
   Machine machine(MachineProfile::intel_paragon());
-  machine.set_recv_timeout_ms(20'000);
   const System sys = random_system(64, 5);
   const auto result = machine.run(4, [&](RankContext& ctx) {
     Communicator comm(ctx);

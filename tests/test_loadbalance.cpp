@@ -161,7 +161,6 @@ TEST(Planners, DestinationsAreValidRanks) {
 
 TEST(Collective, PairwiseBalanceMovesRealPayloads) {
   Machine machine(MachineProfile::ideal());
-  machine.set_recv_timeout_ms(20'000);
   const int p = 6;
   machine.run(p, [&](RankContext& ctx) {
     Communicator comm(ctx);
@@ -216,7 +215,6 @@ class ReturnToOwners : public ::testing::TestWithParam<RoundTripCase> {};
 TEST_P(ReturnToOwners, RestoresOriginalOrder) {
   const RoundTripCase& c = GetParam();
   Machine machine(MachineProfile::ideal());
-  machine.set_recv_timeout_ms(20'000);
   std::atomic<int> moved{0};
   std::atomic<int> hopped_twice{0};
   machine.run(c.ranks, [&](RankContext& ctx) {
@@ -315,7 +313,6 @@ Traffic traffic_of(int p, const std::function<void(Communicator&)>& program) {
     ~TraceOn() { trace::set_enabled(false); }
   } on(p);
   Machine machine(MachineProfile::ideal());
-  machine.set_recv_timeout_ms(60'000);
   machine.run(p, [&](RankContext& ctx) {
     Communicator comm(ctx);
     program(comm);
@@ -430,7 +427,6 @@ TEST(Collective, CyclicReturnIsOnePayloadExchange) {
 
 TEST(Collective, CyclicExecutorBalancesCounts) {
   Machine machine(MachineProfile::ideal());
-  machine.set_recv_timeout_ms(20'000);
   const int p = 4;
   machine.run(p, [&](RankContext& ctx) {
     Communicator comm(ctx);
@@ -448,7 +444,6 @@ TEST(Collective, CyclicExecutorBalancesCounts) {
 
 TEST(Collective, SortedGreedyExecutorImproves) {
   Machine machine(MachineProfile::ideal());
-  machine.set_recv_timeout_ms(20'000);
   const int p = 4;
   machine.run(p, [&](RankContext& ctx) {
     Communicator comm(ctx);
@@ -468,7 +463,6 @@ TEST(Collective, SortedGreedyExecutorImproves) {
 
 TEST(Collective, MigrationRoutesPayloadsWithItems) {
   Machine machine(MachineProfile::ideal());
-  machine.set_recv_timeout_ms(20'000);
   machine.run(3, [&](RankContext& ctx) {
     Communicator comm(ctx);
     std::vector<Item> items{{static_cast<std::uint64_t>(comm.rank()), 2.0}};

@@ -212,7 +212,6 @@ DriverRun run_driver(int rows, int cols, int steps, bool load_balance,
   out.rank_flops.resize(static_cast<std::size_t>(rows * cols));
 
   Machine machine(MachineProfile::intel_paragon());
-  machine.set_recv_timeout_ms(60'000);
   machine.run(rows * cols, [&](RankContext& ctx) {
     Communicator world(ctx);
     Mesh2D mesh(world, rows, cols);
@@ -315,7 +314,6 @@ TEST(Driver, BalancingReducesExecutedImbalance) {
 
 TEST(Driver, EstimatorTracksMeasuredCosts) {
   Machine machine(MachineProfile::intel_paragon());
-  machine.set_recv_timeout_ms(60'000);
   machine.run(1, [&](RankContext& ctx) {
     Communicator world(ctx);
     Mesh2D mesh(world, 1, 1);

@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
+#include <mutex>
+#include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -117,8 +121,8 @@ TEST(Mailbox, FifoPerChannel) {
   Mailbox box;
   box.push(make_packet(std::byte{1}, /*src=*/0, /*tag=*/7));
   box.push(make_packet(std::byte{2}, 0, 7));
-  EXPECT_EQ(box.pop(0, 7, 1000).payload[0], std::byte{1});
-  EXPECT_EQ(box.pop(0, 7, 1000).payload[0], std::byte{2});
+  EXPECT_EQ(box.pop(0, 7).payload[0], std::byte{1});
+  EXPECT_EQ(box.pop(0, 7).payload[0], std::byte{2});
 }
 
 TEST(Mailbox, FifoSurvivesInterleavedChannels) {
@@ -131,9 +135,9 @@ TEST(Mailbox, FifoSurvivesInterleavedChannels) {
     box.push(make_packet(std::byte(200 + i), 0, 9));
   }
   for (int i = 0; i < 16; ++i) {
-    EXPECT_EQ(box.pop(0, 7, 1000).payload[0], std::byte(i));
-    EXPECT_EQ(box.pop(3, 7, 1000).payload[0], std::byte(100 + i));
-    EXPECT_EQ(box.pop(0, 9, 1000).payload[0], std::byte(200 + i));
+    EXPECT_EQ(box.pop(0, 7).payload[0], std::byte(i));
+    EXPECT_EQ(box.pop(3, 7).payload[0], std::byte(100 + i));
+    EXPECT_EQ(box.pop(0, 9).payload[0], std::byte(200 + i));
   }
   EXPECT_EQ(box.pending(), 0u);
 }
@@ -142,16 +146,18 @@ TEST(Mailbox, ChannelsAreIndependent) {
   Mailbox box;
   box.push(make_packet(std::byte{9}, 1, 5));
   box.push(make_packet(std::byte{8}, 2, 5));
-  EXPECT_EQ(box.pop(2, 5, 1000).payload[0], std::byte{8});
-  EXPECT_EQ(box.pop(1, 5, 1000).payload[0], std::byte{9});
+  EXPECT_EQ(box.pop(2, 5).payload[0], std::byte{8});
+  EXPECT_EQ(box.pop(1, 5).payload[0], std::byte{9});
 }
 
-TEST(Mailbox, TimeoutThrowsCommError) {
+// A plain thread (no rank fiber) has nothing to park: a pop on an empty
+// channel can never complete, so it throws at once.
+TEST(Mailbox, OffFiberEmptyPopThrowsCommError) {
   Mailbox box;
-  EXPECT_THROW(box.pop(0, 0, 50), CommError);
+  EXPECT_THROW(box.pop(0, 0), CommError);
 }
 
-TEST(Mailbox, TimeoutErrorListsPendingChannels) {
+TEST(Mailbox, OffFiberErrorListsPendingChannels) {
   // The deadlock diagnostic names what *is* queued, so a tag or source
   // mismatch is visible from the error message alone.
   Mailbox box;
@@ -159,8 +165,8 @@ TEST(Mailbox, TimeoutErrorListsPendingChannels) {
   box.push(make_packet(std::byte{2}, 2, 11));
   box.push(make_packet(std::byte{3}, 4, 3));
   try {
-    box.pop(0, 7, 50);
-    FAIL() << "pop should have timed out";
+    box.pop(0, 7);
+    FAIL() << "pop on an empty channel should throw";
   } catch (const CommError& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("src=0 tag=7"), std::string::npos) << msg;
@@ -170,11 +176,11 @@ TEST(Mailbox, TimeoutErrorListsPendingChannels) {
   }
 }
 
-TEST(Mailbox, TimeoutErrorOnEmptyMailbox) {
+TEST(Mailbox, OffFiberErrorOnEmptyMailbox) {
   Mailbox box;
   try {
-    box.pop(1, 2, 50);
-    FAIL() << "pop should have timed out";
+    box.pop(1, 2);
+    FAIL() << "pop on an empty channel should throw";
   } catch (const CommError& e) {
     EXPECT_NE(std::string(e.what()).find("mailbox empty"), std::string::npos);
   }
@@ -230,8 +236,7 @@ TEST(Mailbox, ChannelIndexBySourceKeepsFifoAndSortedDiagnostics) {
   // Drain in reverse channel order: each channel stays FIFO on its own.
   for (std::size_t c = channels.size(); c-- > 0;) {
     for (int round = 0; round < kRounds; ++round) {
-      EXPECT_EQ(box.pop(channels[c].first, channels[c].second, 1000)
-                    .payload[0],
+      EXPECT_EQ(box.pop(channels[c].first, channels[c].second).payload[0],
                 std::byte(16 * c + round));
     }
   }
@@ -460,7 +465,6 @@ TEST(Machine, VirtualTimeIsDeterministicAcrossRuns) {
 
 TEST(Machine, ExceptionInRankPropagates) {
   Machine machine(MachineProfile::ideal());
-  machine.set_recv_timeout_ms(100);
   EXPECT_THROW(machine.run(2,
                            [](RankContext& ctx) {
                              if (ctx.rank() == 0) throw DataError("boom");
@@ -469,9 +473,8 @@ TEST(Machine, ExceptionInRankPropagates) {
                DataError);
 }
 
-TEST(Machine, RecvTimeoutSurfacesAsCommError) {
+TEST(Machine, RecvDeadlockSurfacesAsCommError) {
   Machine machine(MachineProfile::ideal());
-  machine.set_recv_timeout_ms(100);
   EXPECT_THROW(
       machine.run(2,
                   [](RankContext& ctx) {
@@ -514,7 +517,7 @@ TEST(Machine, MemoryTrafficUsesBandwidth) {
 // Fiber-scheduler torture tests. These force the M:N machinery through its
 // worst cases: far more fibers than workers, parks nested inside hand-rolled
 // collectives, channel FIFO under migration, and bit-equality of virtual
-// times against the thread-per-rank reference backend.
+// times under jittered host schedules at several worker counts.
 // ---------------------------------------------------------------------------
 
 /// Hand-rolled barrier on p2p messages (gather-to-0 + broadcast), so the
@@ -536,7 +539,6 @@ TEST(FiberScheduler, ManyMoreFibersThanWorkers) {
   // so the run queue, the park/unpark handshake and fiber migration across
   // the two workers all churn constantly.
   Machine machine(MachineProfile::ideal());
-  machine.set_backend(SimBackend::kFibers);
   machine.set_workers(2);
   const int nranks = 192;
   const int rounds = 5;
@@ -564,7 +566,6 @@ TEST(FiberScheduler, RecvNestedInsideBarrierPhases) {
   // after it — so data recvs park while peers are already parked inside the
   // barrier's own recvs, and the channel must buffer across both.
   Machine machine(MachineProfile::ideal());
-  machine.set_backend(SimBackend::kFibers);
   machine.set_workers(3);
   const int nranks = 64;
   machine.run(nranks, [&](RankContext& ctx) {
@@ -595,7 +596,6 @@ TEST(FiberScheduler, FifoPreservedPerChannelUnderOversubscription) {
   // bounces the receiving fibers between workers; per-(src, tag) order must
   // still be exactly the send order.
   Machine machine(MachineProfile::ideal());
-  machine.set_backend(SimBackend::kFibers);
   machine.set_workers(2);
   const int nranks = 48;  // rank 0 sends, everyone else receives
   const int messages = 32;
@@ -629,7 +629,6 @@ TEST(FiberScheduler, EachRankGetsItsOwnExecSlot) {
   // across parks — it is what keeps fft/kernel workspaces rank-private when
   // fibers migrate between workers.
   Machine machine(MachineProfile::ideal());
-  machine.set_backend(SimBackend::kFibers);
   machine.set_workers(2);
   const int nranks = 32;
   std::vector<util::ExecSlot*> slots(static_cast<std::size_t>(nranks),
@@ -646,60 +645,94 @@ TEST(FiberScheduler, EachRankGetsItsOwnExecSlot) {
   EXPECT_EQ(std::count(slots.begin(), slots.end(), nullptr), 0);
 }
 
-TEST(FiberScheduler, VirtualTimesBitIdenticalToThreadBackend) {
-  // The determinism gate: seeded pseudo-random compute + permutation
-  // exchanges, run under both backends; every per-rank virtual finish time
-  // and breakdown component must be bit-identical (EXPECT_DOUBLE_EQ is an
-  // exact comparison).
-  for (const std::uint64_t seed : {1ULL, 7ULL, 20260808ULL}) {
-    const int nranks = 24;
-    auto program = [seed, nranks](RankContext& ctx) {
-      std::uint64_t offs = seed;  // rank-independent offset stream
-      std::uint64_t mine = seed * 1000003ULL +
-                           static_cast<std::uint64_t>(ctx.rank());
-      const auto next = [](std::uint64_t& s) {
-        s = s * 6364136223846793005ULL + 1442695040888963407ULL;
-        return s >> 33;
-      };
-      for (int round = 0; round < 8; ++round) {
-        ctx.clock().compute(static_cast<double>(next(mine) % 10000) + 1.0);
-        const int off = 1 + static_cast<int>(next(offs) %
-                                             static_cast<std::uint64_t>(
-                                                 nranks - 1));
-        const int dst = (ctx.rank() + off) % nranks;
-        const int src = (ctx.rank() + nranks - off) % nranks;
-        std::vector<double> data(1 + next(mine) % 64,
-                                 static_cast<double>(ctx.rank()));
-        ctx.send_bytes(dst, round, as_bytes(data));
-        (void)ctx.recv_bytes(src, round);
-      }
-    };
-    Machine fibers(MachineProfile::intel_paragon());
-    fibers.set_backend(SimBackend::kFibers);
-    fibers.set_workers(2);
-    Machine threads(MachineProfile::intel_paragon());
-    threads.set_backend(SimBackend::kThreads);
-    const auto rf = fibers.run(nranks, program);
-    const auto rt = threads.run(nranks, program);
-    ASSERT_EQ(rf.finish_times.size(), rt.finish_times.size());
-    for (std::size_t r = 0; r < rf.finish_times.size(); ++r) {
-      EXPECT_DOUBLE_EQ(rf.finish_times[r], rt.finish_times[r]) << "rank " << r;
-      EXPECT_DOUBLE_EQ(rf.breakdowns[r].compute, rt.breakdowns[r].compute);
-      EXPECT_DOUBLE_EQ(rf.breakdowns[r].overhead, rt.breakdowns[r].overhead);
-      EXPECT_DOUBLE_EQ(rf.breakdowns[r].wait, rt.breakdowns[r].wait);
+/// Everything virtual a run produces, as raw bits: per-rank finish time and
+/// breakdown components, then the message and byte totals.
+std::vector<std::uint64_t> virtual_bits(const RunResult& result) {
+  std::vector<std::uint64_t> bits;
+  for (std::size_t r = 0; r < result.finish_times.size(); ++r) {
+    const TimeBreakdown& b = result.breakdowns[r];
+    for (const double v : {result.finish_times[r], b.compute, b.overhead,
+                           b.wait}) {
+      bits.push_back(std::bit_cast<std::uint64_t>(v));
     }
-    EXPECT_EQ(rf.total_messages, rt.total_messages);
-    EXPECT_EQ(rf.total_bytes, rt.total_bytes);
+  }
+  bits.push_back(result.total_messages);
+  bits.push_back(result.total_bytes);
+  return bits;
+}
+
+std::uint64_t lcg_next(std::uint64_t& s) {
+  s = s * 6364136223846793005ULL + 1442695040888963407ULL;
+  return s >> 33;
+}
+
+TEST(FiberScheduler, VirtualTimesIndependentOfHostSchedule) {
+  // The determinism fence. One seeded program (pseudo-random compute plus
+  // permutation exchanges) runs at W = 2, 4 and 8 workers with a seeded
+  // per-rank host jitter — a busy-spin and an occasional yield before every
+  // send and recv — so the ranks interleave differently on every run. Every
+  // virtual observable must be bitwise equal to a W=1 run without jitter,
+  // and the host order in which recvs complete must actually vary, or the
+  // fence proves nothing.
+  constexpr int kRanks = 24;
+  constexpr int kRounds = 8;
+  constexpr std::uint64_t kProgramSeed = 20260808ULL;
+  constexpr int kJitterSeeds = 8;
+
+  std::mutex order_mutex;
+  std::vector<int> recv_order;  // rank * kRounds + round, in host order
+  const auto run = [&](int workers, std::uint64_t jitter_seed) {
+    recv_order.clear();
+    Machine machine(MachineProfile::intel_paragon());
+    machine.set_workers(workers);
+    const RunResult result = machine.run(kRanks, [&](RankContext& ctx) {
+      std::uint64_t offs = kProgramSeed;  // rank-independent offset stream
+      std::uint64_t mine =
+          kProgramSeed * 1000003ULL + static_cast<std::uint64_t>(ctx.rank());
+      std::uint64_t jitter =
+          jitter_seed * 7919ULL + static_cast<std::uint64_t>(ctx.rank());
+      const auto perturb = [&] {
+        if (jitter_seed == 0) return;
+        volatile std::uint64_t sink = 0;
+        const std::uint64_t spins = lcg_next(jitter) % 4096;
+        for (std::uint64_t i = 0; i < spins; ++i) sink = sink + i;
+        if (lcg_next(jitter) % 4 == 0) std::this_thread::yield();
+      };
+      for (int round = 0; round < kRounds; ++round) {
+        ctx.clock().compute(static_cast<double>(lcg_next(mine) % 10000) + 1.0);
+        const int off = 1 + static_cast<int>(lcg_next(offs) % (kRanks - 1));
+        const int dst = (ctx.rank() + off) % kRanks;
+        const int src = (ctx.rank() + kRanks - off) % kRanks;
+        std::vector<double> data(1 + lcg_next(mine) % 64,
+                                 static_cast<double>(ctx.rank()));
+        perturb();
+        ctx.send_bytes(dst, round, as_bytes(data));
+        perturb();
+        (void)ctx.recv_bytes(src, round);
+        std::lock_guard lock(order_mutex);
+        recv_order.push_back(ctx.rank() * kRounds + round);
+      }
+    });
+    return virtual_bits(result);
+  };
+
+  const std::vector<std::uint64_t> reference = run(1, /*jitter_seed=*/0);
+  for (const int workers : {2, 4, 8}) {
+    std::set<std::vector<int>> orders;
+    for (std::uint64_t seed = 1; seed <= kJitterSeeds; ++seed) {
+      EXPECT_EQ(run(workers, seed), reference)
+          << "W=" << workers << " jitter seed " << seed;
+      orders.insert(recv_order);
+    }
+    EXPECT_GE(orders.size(), 2u)
+        << "W=" << workers << ": the jitter never changed the host schedule";
   }
 }
 
 TEST(FiberScheduler, DeadlockDetectedWithoutWallClockWait) {
   // Quiescence detection: a recv that can never be satisfied must throw as
-  // soon as all live fibers are parked — the 100 ms budget below is only
-  // for the thread-backend fallback on platforms without fibers.
+  // soon as all live fibers are parked, with no wall-clock timeout.
   Machine machine(MachineProfile::ideal());
-  machine.set_backend(SimBackend::kFibers);
-  machine.set_recv_timeout_ms(100);
   try {
     machine.run(3, [](RankContext& ctx) {
       if (ctx.rank() == 0) (void)ctx.recv_bytes(1, 9);  // never sent
@@ -710,21 +743,6 @@ TEST(FiberScheduler, DeadlockDetectedWithoutWallClockWait) {
     EXPECT_NE(msg.find("deadlock"), std::string::npos) << msg;
     EXPECT_NE(msg.find("src=1 tag=9"), std::string::npos) << msg;
   }
-}
-
-TEST(FiberScheduler, ThreadBackendStillSelectable) {
-  // The fallback backend stays first-class: explicit selection must run the
-  // same program with the same results.
-  Machine machine(MachineProfile::ideal());
-  machine.set_backend(SimBackend::kThreads);
-  const auto result = machine.run(4, [](RankContext& ctx) {
-    const int next = (ctx.rank() + 1) % ctx.nranks();
-    const int prev = (ctx.rank() + ctx.nranks() - 1) % ctx.nranks();
-    std::vector<double> data{1.0};
-    ctx.send_bytes(next, 1, as_bytes(data));
-    (void)ctx.recv_bytes(prev, 1);
-  });
-  EXPECT_EQ(result.total_messages, 4u);
 }
 
 }  // namespace

@@ -88,10 +88,11 @@ REQUIRED_FIELDS = {
         "lb_gain_grows_with_rows": bool,
     },
     "simnet_sched": {
-        "p64_threads_ms": float,
-        "p64_fibers_ms": float,
-        "p64_speedup": float,
-        "gate_speedup_min": float,
+        "p64_wall_ms": float,
+        "p64_us_per_rank_step": float,
+        "p1024_us_per_rank_step": float,
+        "p1024_over_p64_ratio": float,
+        "gate_ratio_max": float,
         "virtual_times_match": bool,
         "p1024_wall_ms": float,
         "p1024_completed": bool,
@@ -205,9 +206,9 @@ def check_required_fields(path: str, doc: dict) -> str:
         )
     if doc["bench"] == "simnet_sched":
         return (
-            f", P=64 fibers {doc['p64_speedup']:.2f}x threads, virtual "
-            f"times match={doc['virtual_times_match']}, gates_passed="
-            f"{doc['gates_passed']}"
+            f", P=1024/P=64 host cost per rank-step "
+            f"{doc['p1024_over_p64_ratio']:.2f}x, virtual times match="
+            f"{doc['virtual_times_match']}, gates_passed={doc['gates_passed']}"
         )
     if doc["bench"] == "campaign_throughput":
         return (
