@@ -19,6 +19,11 @@
 //    scheduler moves host execution around, never virtual time).
 //  * The P=1024 multi-step run is the paper-scale demonstration
 //    (240-node Table 4 sweeps fit with room to spare) and must complete.
+//  * peak_rss_mib (informational, no gate): the process's peak resident
+//    set. A run's fiber stacks all return when it ends, so the P=1024 run
+//    sets it: P times each fiber's deepest stack use.
+#include <sys/resource.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <span>
@@ -109,6 +114,14 @@ Timed time_run(int nranks, int steps, int trials, int workers) {
   return out;
 }
 
+/// Peak resident set of this process so far, MiB (ru_maxrss is KiB on
+/// Linux).
+double peak_rss_mib() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
+
 bool virtual_times_match(const RunResult& a, const RunResult& b) {
   if (a.finish_times.size() != b.finish_times.size()) return false;
   for (std::size_t r = 0; r < a.finish_times.size(); ++r) {
@@ -174,6 +187,9 @@ int main(int argc, char** argv) {
       Table::num(kRatioGate, 1) + "x that at P=64 (got " +
       Table::num(ratio, 2) + "x); virtual times at W=1 vs default W " +
       (times_match ? "bit-identical" : "DIVERGED"));
+  const double rss_mib = peak_rss_mib();
+  agcm::bench::print_note("peak RSS " + Table::num(rss_mib, 1) +
+                          " MiB (informational, no gate)");
 
   report.set("p64_wall_ms", p64.best_ms);
   report.set("p64_us_per_rank_step", p64_us);
@@ -183,6 +199,7 @@ int main(int argc, char** argv) {
   report.set("virtual_times_match", times_match);
   report.set("p1024_wall_ms", p1024.best_ms);
   report.set("p1024_completed", sweep_ok);
+  report.set("peak_rss_mib", rss_mib);
 
   bool ok = true;
   if (!times_match) {

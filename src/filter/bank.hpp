@@ -39,6 +39,8 @@ struct LineKey {
   int var = 0;   ///< index into the bank's variable list
   int j = 0;     ///< global latitude row
   int k = 0;     ///< vertical layer
+
+  friend bool operator==(const LineKey&, const LineKey&) = default;
 };
 
 class FilterBank {

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
+#include <mutex>
 
 #include "comm/packed.hpp"
 #include "util/error.hpp"
 #include "util/exec_local.hpp"
+#include "util/shared_cache.hpp"
 
 namespace agcm::filter {
 
@@ -26,6 +29,126 @@ SizesScratch& sizes_scratch() {
     return slot->get<SizesScratch>();
   thread_local SizesScratch scratch;  // off-machine callers (tests/tools)
   return scratch;
+}
+
+/// One processor row's part of the Figure-2 schedule.
+struct RowSlice {
+  std::vector<LineKey> my_lines;    ///< sourced in this row, schedule order
+  std::vector<LineKey> held_lines;  ///< held here after redistribution
+  std::vector<int> send_lines;      ///< per destination row
+  std::vector<int> recv_lines;      ///< per source row
+};
+
+/// The global redistribution schedule: every filtered line sorted by source
+/// row, ties in the bank's canonical (var, j, k) order — the concatenation
+/// of the rows' my_lines. A pure function of the latitude partition and the
+/// bank's line list, so one build serves every rank.
+struct BalancedSchedule {
+  std::vector<RowSlice> rows;
+  double post_balance_ratio = 1.0;
+};
+
+std::shared_ptr<const BalancedSchedule> build_schedule(
+    const grid::Partition1D& lat, const std::vector<LineKey>& lines) {
+  const int nrows = lat.blocks();
+  const auto urows = static_cast<std::size_t>(nrows);
+  auto schedule = std::make_shared<BalancedSchedule>();
+  schedule->rows.resize(urows);
+  for (RowSlice& row : schedule->rows) {
+    row.send_lines.assign(urows, 0);
+    row.recv_lines.assign(urows, 0);
+  }
+
+  // Bucketing the lines by source row, in bank order within a row, is the
+  // stable sort by source row. It makes each row's lines a contiguous
+  // block, so the monotone block assignment below preserves latitudinal
+  // locality (Figure 2: polar rows spill into their equatorward neighbours
+  // first).
+  for (const LineKey& line : lines)
+    schedule->rows[static_cast<std::size_t>(lat.owner(line.j))]
+        .my_lines.push_back(line);
+
+  const std::size_t total = lines.size();
+  std::size_t q = 0;  // position in the global schedule
+  for (std::size_t src = 0; src < urows; ++src) {
+    RowSlice& source = schedule->rows[src];
+    for (const LineKey& line : source.my_lines) {
+      const auto dst = q * urows / total;
+      ++q;
+      RowSlice& dest = schedule->rows[dst];
+      ++source.send_lines[dst];
+      ++dest.recv_lines[src];
+      dest.held_lines.push_back(line);
+    }
+  }
+
+  const double ideal = static_cast<double>(total) / nrows;
+  std::size_t most_held = 0;
+  for (const RowSlice& row : schedule->rows)
+    most_held = std::max(most_held, row.held_lines.size());
+  schedule->post_balance_ratio =
+      ideal > 0.0 ? static_cast<double>(most_held) / ideal : 1.0;
+  return schedule;
+}
+
+/// Process-wide schedule cache ("filter.plans"). Keyed exactly by the
+/// inputs of build_schedule — nlat, mesh rows and the ordered line list —
+/// never by a bank's address, which clear_all can hand to a new bank. A
+/// process sees a handful of distinct keys, so lookup is a linear scan.
+struct PlanCache {
+  struct Entry {
+    int nlat;
+    int rows;
+    std::vector<LineKey> lines;
+    std::shared_ptr<const BalancedSchedule> schedule;
+  };
+
+  std::mutex mutex;
+  std::vector<Entry> entries;
+  util::SharedCacheStats stats;
+
+  static PlanCache& instance() {
+    static PlanCache cache;
+    return cache;
+  }
+
+ private:
+  PlanCache() {
+    util::SharedCaches::register_cache(
+        "filter.plans",
+        [] {
+          PlanCache& c = instance();
+          std::lock_guard<std::mutex> lock(c.mutex);
+          c.entries.clear();
+        },
+        [] {
+          PlanCache& c = instance();
+          std::lock_guard<std::mutex> lock(c.mutex);
+          return c.stats;
+        });
+  }
+};
+
+/// The shared schedule for (lat partition, lines); with util::SharedCaches
+/// disabled, a fresh unshared one.
+std::shared_ptr<const BalancedSchedule> shared_schedule(
+    const grid::Partition1D& lat, const std::vector<LineKey>& lines) {
+  if (!util::SharedCaches::enabled()) return build_schedule(lat, lines);
+  PlanCache& cache = PlanCache::instance();
+  // Built under the lock: the ranks of a run ask at once, and one build
+  // with P-1 waiters beats P concurrent builds.
+  std::lock_guard<std::mutex> lock(cache.mutex);
+  for (const PlanCache::Entry& entry : cache.entries) {
+    if (entry.nlat == lat.n() && entry.rows == lat.blocks() &&
+        entry.lines == lines) {
+      ++cache.stats.hits;
+      return entry.schedule;
+    }
+  }
+  ++cache.stats.misses;
+  auto schedule = build_schedule(lat, lines);
+  cache.entries.push_back({lat.n(), lat.blocks(), lines, schedule});
+  return schedule;
 }
 
 }  // namespace
@@ -166,57 +289,17 @@ BalancedFilterPlan::BalancedFilterPlan(const comm::Mesh2D& mesh,
                                        const grid::Decomp2D& decomp,
                                        const FilterBank& bank) {
   const int nrows = mesh.rows();
-  const int myrow = mesh.coord().row;
+  AGCM_ASSERT(decomp.lat_partition().blocks() == nrows);
   ni_ = decomp.box(mesh.coord()).ni;
 
-  // Global redistribution order: all filtered lines sorted by source row,
-  // ties broken by the bank's canonical (var, j, k) order. Sorting by
-  // source row makes each row's lines a contiguous block, so the monotone
-  // block assignment below preserves latitudinal locality (Figure 2: polar
-  // rows spill into their equatorward neighbours first).
-  struct Tagged {
-    LineKey key;
-    int src_row;
-    std::size_t bank_pos;
-  };
-  std::vector<Tagged> global;
-  global.reserve(bank.lines().size());
-  for (std::size_t pos = 0; pos < bank.lines().size(); ++pos) {
-    const LineKey& line = bank.lines()[pos];
-    global.push_back({line, decomp.lat_partition().owner(line.j), pos});
-  }
-  std::stable_sort(global.begin(), global.end(),
-                   [](const Tagged& a, const Tagged& b) {
-                     return a.src_row != b.src_row ? a.src_row < b.src_row
-                                                   : a.bank_pos < b.bank_pos;
-                   });
-
-  const std::size_t total = global.size();
-  auto dest_row = [&](std::size_t q) {
-    return static_cast<int>(q * static_cast<std::size_t>(nrows) / total);
-  };
-
-  send_lines_.assign(static_cast<std::size_t>(nrows), 0);
-  recv_lines_.assign(static_cast<std::size_t>(nrows), 0);
-  std::vector<int> held_per_row(static_cast<std::size_t>(nrows), 0);
-  for (std::size_t q = 0; q < total; ++q) {
-    const int src = global[q].src_row;
-    const int dst = dest_row(q);
-    ++held_per_row[static_cast<std::size_t>(dst)];
-    if (src == myrow) {
-      my_lines_.push_back(global[q].key);
-      ++send_lines_[static_cast<std::size_t>(dst)];
-    }
-    if (dst == myrow) {
-      held_lines_.push_back(global[q].key);
-      ++recv_lines_[static_cast<std::size_t>(src)];
-    }
-  }
-  const double ideal = static_cast<double>(total) / nrows;
-  post_balance_ratio_ =
-      ideal > 0.0
-          ? *std::max_element(held_per_row.begin(), held_per_row.end()) / ideal
-          : 1.0;
+  const auto schedule = shared_schedule(decomp.lat_partition(), bank.lines());
+  const RowSlice& mine =
+      schedule->rows[static_cast<std::size_t>(mesh.coord().row)];
+  my_lines_ = mine.my_lines;
+  held_lines_ = mine.held_lines;
+  send_lines_ = mine.send_lines;
+  recv_lines_ = mine.recv_lines;
+  post_balance_ratio_ = schedule->post_balance_ratio;
 
   // Cached prefix offsets (elements) into the two chunk layouts: my_lines_
   // is grouped by destination row and held_lines_ by source row, so each

@@ -11,6 +11,10 @@
 // over mesh rows), regardless of how many rows each hemisphere filters.
 // Both plans are pure bookkeeping computed identically on every node from
 // global metadata — "the set-up involves substantial bookkeeping" (3.3).
+// The global Figure-2 schedule is the same on every rank of a run, so it is
+// built once per process and shared through util::SharedCaches
+// ("filter.plans"); each rank copies its row's slice. The virtual cost of
+// the bookkeeping is charged by FftBalancedFilter, not by the build.
 #pragma once
 
 #include <vector>
@@ -138,6 +142,11 @@ class BalancedFilterPlan {
                                    std::span<const double> my_chunks) const;
   std::vector<double> restore(const comm::Mesh2D& mesh,
                               std::span<const double> held_chunks) const;
+
+  /// Lines I send to each destination row / receive from each source row
+  /// (indexed by mesh row).
+  const std::vector<int>& send_lines() const { return send_lines_; }
+  const std::vector<int>& recv_lines() const { return recv_lines_; }
 
   /// Max over rows of (lines held) / ideal — 1.0 means perfectly balanced.
   double post_balance_ratio() const { return post_balance_ratio_; }

@@ -157,6 +157,48 @@ int env_int(const char* name) {
   return std::atoi(value);
 }
 
+/// Every fiber stack of one run in a single mapping, so a run costs one
+/// mmap and one munmap instead of a pair per rank. Slot i is a PROT_NONE
+/// guard page followed by fiber i's usable stack; a stack grows down into
+/// its own guard page, never into its neighbour. Pages are committed
+/// lazily on first touch and all return when the run ends, so the resident
+/// set tracks the deepest stack use of each of the P fibers.
+class StackMapping {
+ public:
+  StackMapping(int count, std::size_t stack_bytes)
+      : slot_(page_size() + stack_bytes) {
+    const auto n = static_cast<std::size_t>(count);
+    void* base = MAP_FAILED;
+    if (stack_bytes <= SIZE_MAX - page_size() &&
+        !__builtin_mul_overflow(n, slot_, &total_)) {
+      base = ::mmap(nullptr, total_, PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    }
+    if (base == MAP_FAILED)
+      throw std::runtime_error(
+          "simnet: mmap of fiber stacks failed (" + std::to_string(count) +
+          " fibers x " + std::to_string(stack_bytes) +
+          " bytes); reduce AGCM_SIMNET_STACK_KB or the number of ranks");
+    base_ = static_cast<char*>(base);
+    for (std::size_t i = 0; i < n; ++i)
+      ::mprotect(base_ + i * slot_, page_size(), PROT_NONE);
+  }
+  ~StackMapping() { ::munmap(base_, total_); }
+
+  StackMapping(const StackMapping&) = delete;
+  StackMapping& operator=(const StackMapping&) = delete;
+
+  /// Lowest usable byte of fiber i's stack (just above its guard page).
+  char* usable(int i) const {
+    return base_ + static_cast<std::size_t>(i) * slot_ + page_size();
+  }
+
+ private:
+  char* base_ = nullptr;
+  std::size_t slot_ = 0;
+  std::size_t total_ = 0;
+};
+
 /// One switchable execution context: either a worker thread's native
 /// context (no owned stack) or a fiber's prepared one. Carries the
 /// sanitizer identities that must travel with every switch.
@@ -180,7 +222,6 @@ struct ExecContext {
 #endif
 #if AGCM_FIBER_TSAN
   void* tsan_fiber = nullptr;
-  bool tsan_owned = false;
 #endif
 };
 
@@ -201,8 +242,8 @@ inline void finish_switch(ExecContext& self) {
 }
 
 /// Switches host execution from `from` to `to`. When `from_dying` the
-/// source context never resumes (its stack may be released); ASan is told
-/// to free the fake stack by passing a null save slot.
+/// source context never resumes (its stack sits idle until the run ends);
+/// ASan is told to free the fake stack by passing a null save slot.
 inline void switch_context(ExecContext& from, ExecContext& to,
                            bool from_dying = false) {
   to.resume_from = &from;
@@ -242,8 +283,6 @@ struct Fiber::Impl {
   FiberScheduler* scheduler = nullptr;
   FiberState state = FiberState::kRunnable;
   ExecContext ctx;
-  void* stack_base = nullptr;  // mmap base (guard page + usable stack)
-  std::size_t stack_total = 0;
   util::ExecSlot slot;
 };
 
@@ -251,15 +290,10 @@ class FiberScheduler {
  public:
   FiberScheduler(int count, const std::function<void(int)>& body,
                  const FiberSchedulerOptions& options)
-      : body_(body), nfibers_(count) {
-    stack_bytes_ = options.stack_bytes;
-    if (stack_bytes_ == 0) {
-      const int kb = env_int("AGCM_SIMNET_STACK_KB");
-      stack_bytes_ = kb > 0 ? static_cast<std::size_t>(kb) * 1024
-                            : std::size_t{512} * 1024;
-    }
-    stack_bytes_ = std::max(round_up_pages(stack_bytes_), 4 * page_size());
-
+      : body_(body),
+        nfibers_(count),
+        stack_bytes_(resolve_stack_bytes(options)),
+        stacks_(count, stack_bytes_) {
     workers_ = options.workers;
     if (workers_ <= 0) workers_ = env_int("AGCM_SIMNET_WORKERS");
     if (workers_ <= 0)
@@ -278,13 +312,16 @@ class FiberScheduler {
       Fiber::Impl& f = *fibers_.back()->impl_;
       f.index = i;
       f.scheduler = this;
-      allocate_stack(f);
+      prepare_context(f, stacks_.usable(i));
       enqueue_locked(fibers_.back().get());
     }
   }
 
   ~FiberScheduler() {
-    for (auto& fiber : fibers_) release_stack(*fiber->impl_);
+#if AGCM_FIBER_TSAN
+    for (auto& fiber : fibers_)
+      __tsan_destroy_fiber(fiber->impl_->ctx.tsan_fiber);
+#endif
   }
 
   FiberScheduler(const FiberScheduler&) = delete;
@@ -329,20 +366,19 @@ class FiberScheduler {
  private:
   friend class Fiber;
 
-  void allocate_stack(Fiber::Impl& f) {
-    const std::size_t guard = page_size();
-    f.stack_total = guard + stack_bytes_;
-    void* base = ::mmap(nullptr, f.stack_total, PROT_READ | PROT_WRITE,
-                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (base == MAP_FAILED)
-      throw std::runtime_error(
-          "simnet: mmap of fiber stack failed (" +
-          std::to_string(f.stack_total) + " bytes for " +
-          std::to_string(nfibers_) + " fibers); reduce AGCM_SIMNET_STACK_KB "
-          "or the number of ranks");
-    ::mprotect(base, guard, PROT_NONE);
-    f.stack_base = base;
-    char* usable = static_cast<char*>(base) + guard;
+  static std::size_t resolve_stack_bytes(const FiberSchedulerOptions& options) {
+    std::size_t bytes = options.stack_bytes;
+    if (bytes == 0) {
+      const int kb = env_int("AGCM_SIMNET_STACK_KB");
+      bytes = kb > 0 ? static_cast<std::size_t>(kb) * 1024
+                     : std::size_t{512} * 1024;
+    }
+    return std::max(round_up_pages(bytes), 4 * page_size());
+  }
+
+  /// Seeds fiber f's first entry on the stack whose lowest usable byte is
+  /// `usable` (stack_bytes_ long).
+  void prepare_context(Fiber::Impl& f, char* usable) {
     f.ctx.stack_bottom = usable;
     f.ctx.stack_size = stack_bytes_;
 
@@ -382,20 +418,6 @@ class FiberScheduler {
 #endif
 #if AGCM_FIBER_TSAN
     f.ctx.tsan_fiber = __tsan_create_fiber(0);
-    f.ctx.tsan_owned = true;
-#endif
-  }
-
-  void release_stack(Fiber::Impl& f) {
-    if (f.stack_base != nullptr) {
-      ::munmap(f.stack_base, f.stack_total);
-      f.stack_base = nullptr;
-    }
-#if AGCM_FIBER_TSAN
-    if (f.ctx.tsan_owned) {
-      __tsan_destroy_fiber(f.ctx.tsan_fiber);
-      f.ctx.tsan_owned = false;
-    }
 #endif
   }
 
@@ -409,7 +431,8 @@ class FiberScheduler {
       if (!sched->first_error_) sched->first_error_ = std::current_exception();
     }
     f->state = FiberState::kFinished;
-    // The stack dies with this switch; control never returns here.
+    // The fiber never resumes after this switch; its stack stays mapped
+    // (idle) until the run ends. Control never returns here.
     switch_context(f->ctx, *f->ctx.resume_from, /*from_dying=*/true);
   }
 
@@ -455,7 +478,6 @@ class FiberScheduler {
     }
     t_current_fiber = nullptr;
 
-    bool finished = false;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       --running_;
@@ -472,7 +494,6 @@ class FiberScheduler {
           break;
         case FiberState::kFinished:
           ++finished_;
-          finished = true;
           if (finished_ == nfibers_)
             work_cv_.notify_all();
           else
@@ -482,9 +503,6 @@ class FiberScheduler {
           break;  // unreachable: a resumed fiber parks or finishes
       }
     }
-    // Reclaim the 512 KiB stack eagerly so a P=1024 sweep's resident set
-    // tracks live fibers, not total fibers.
-    if (finished) release_stack(f);
   }
 
   /// Pre: scheduler mutex held. When every live fiber is parked no message
@@ -519,8 +537,9 @@ class FiberScheduler {
 
   std::function<void(int)> body_;
   int nfibers_ = 0;
-  int workers_ = 0;
   std::size_t stack_bytes_ = 0;
+  StackMapping stacks_;  // outlives fibers_ (declared first, freed last)
+  int workers_ = 0;
 
   std::mutex mutex_;
   std::condition_variable work_cv_;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
@@ -202,12 +203,36 @@ TEST(CampaignIsolation, ConcurrentMatchesStandalone) {
 }
 
 TEST(CampaignIsolation, SharedCachesAreResultNeutral) {
-  const Campaign matrix = small_matrix();
+  Campaign matrix = small_matrix();
+  // On the 1x1 cells the balanced filter's schedule is trivial; multi-row
+  // fft-load-balanced cells put the shared schedule (filter.plans) under
+  // the store-bytes fence too.
+  const Campaign multi_row = campaign::campaign_from(io::Config::from_string(
+      R"(campaign = unit
+nlon = 48
+nlat = 30
+nlev = 3
+mesh_rows = 4
+mesh_cols = 2
+steps = 1
+warmup_steps = 1
+filter_algorithm = fft-load-balanced
+sweep_machines = paragon, t3d
+)"));
+  matrix.cells.insert(matrix.cells.end(), multi_row.cells.begin(),
+                      multi_row.cells.end());
+  const auto plan_hits = [] {
+    for (const util::SharedCacheInfo& info : util::SharedCaches::stats())
+      if (info.name == "filter.plans") return info.stats.hits;
+    return std::uint64_t{0};
+  };
   std::string with_caches;
   {
     util::SharedCaches::ScopedEnable on(true);
     util::SharedCaches::clear_all();
+    const std::uint64_t hits_before = plan_hits();
     with_caches = run_store(matrix, 4);
+    EXPECT_GT(plan_hits(), hits_before) << "no cell shared a schedule";
   }
   std::string without_caches;
   {

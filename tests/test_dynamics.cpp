@@ -16,6 +16,7 @@
 #include "dynamics/advection_seed_ref.hpp"
 #include "dynamics/dynamics.hpp"
 #include "simnet/machine.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace agcm::dynamics {
@@ -105,6 +106,96 @@ TEST(State, InitializationIsDecompositionInvariant) {
   EXPECT_DOUBLE_EQ(max_abs_diff(a.h, b.h), 0.0);
   EXPECT_DOUBLE_EQ(max_abs_diff(a.theta, b.theta), 0.0);
   EXPECT_DOUBLE_EQ(max_abs_diff(a.q, b.q), 0.0);
+}
+
+/// Test-local copy of initialize_state as it stood before its latitude-
+/// and longitude-only terms were hoisted out of the point loop: the whole
+/// formula evaluated at every point.
+void initialize_state_per_point_ref(State& state, const LatLonGrid& grid,
+                                    const grid::LocalBox& box,
+                                    std::uint64_t seed) {
+  const double h0 = 8000.0;
+  const double jet_speed = 25.0;
+  const double g = grid.planet().gravity;
+  const double omega = grid.planet().omega;
+  const double a = grid.planet().radius_m;
+  for (int k = 0; k < grid.nlev(); ++k) {
+    const double layer_scale = 1.0 + 0.15 * k;
+    for (int j = 0; j < box.nj; ++j) {
+      const int gj = box.j0 + j;
+      const double lat = grid.lat_center(gj);
+      const double lat_face = grid.lat_vface(gj + 1);
+      for (int i = 0; i < box.ni; ++i) {
+        const int gi = box.i0 + i;
+        const double lon = grid.lon_center(gi);
+        const double jet = jet_speed * layer_scale *
+                           std::sin(2.0 * lat) * std::sin(2.0 * lat);
+        const double f = 2.0 * omega * std::sin(lat);
+        const double hbal = h0 - (a / g) * f * jet * 0.35;
+        Rng rng = Rng::for_stream(seed, (static_cast<std::uint64_t>(k) << 32) ^
+                                            (static_cast<std::uint64_t>(gj) << 16) ^
+                                            static_cast<std::uint64_t>(gi));
+        const double polar_boost = 1.0 + 3.0 * std::pow(std::sin(lat), 8.0);
+        const double bump =
+            (8.0 * std::cos(4.0 * lon) + 2.0 * (rng.uniform() - 0.5)) *
+            polar_boost;
+        state.h(i, j, k) = hbal + bump;
+        state.u(i, j, k) = jet * std::cos(lat_face * 0.0);
+        state.v(i, j, k) = 0.0;
+        state.theta(i, j, k) =
+            300.0 - 40.0 * std::sin(lat) * std::sin(lat) + 3.0 * k +
+            0.5 * (rng.uniform() - 0.5);
+        state.q(i, j, k) =
+            0.018 * std::exp(-std::pow(lat / 0.45, 2.0)) *
+            std::exp(-0.35 * k) * (1.0 + 0.1 * (rng.uniform() - 0.5));
+      }
+    }
+  }
+  state.time_sec = 0.0;
+  state.step = 0;
+}
+
+TEST(State, HoistedInitializationBitIdenticalToPerPointFormula) {
+  struct Case {
+    int nlon, nlat, nlev, rows, cols;
+  };
+  for (const Case c : {Case{144, 90, 9, 8, 30}, Case{144, 90, 9, 4, 4},
+                       Case{48, 30, 3, 2, 2}}) {
+    const LatLonGrid grid(c.nlon, c.nlat, c.nlev);
+    const Decomp2D decomp(c.nlon, c.nlat, c.rows, c.cols);
+    for (std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{1996},
+                               std::uint64_t{0x9E3779B97F4A7C15}}) {
+      std::size_t compared = 0, differing = 0;
+      for (int r = 0; r < c.rows; ++r)
+        for (int col = 0; col < c.cols; ++col) {
+          const grid::LocalBox box = decomp.box({r, col});
+          State hoisted(box, c.nlev), ref(box, c.nlev);
+          initialize_state(hoisted, grid, box, seed);
+          initialize_state_per_point_ref(ref, grid, box, seed);
+          const std::pair<const grid::Array3D<double>*,
+                          const grid::Array3D<double>*>
+              fields[] = {{&hoisted.h, &ref.h},
+                          {&hoisted.u, &ref.u},
+                          {&hoisted.v, &ref.v},
+                          {&hoisted.theta, &ref.theta},
+                          {&hoisted.q, &ref.q}};
+          for (const auto& [got, want] : fields)
+            for (int k = 0; k < c.nlev; ++k)
+              for (int j = 0; j < box.nj; ++j)
+                for (int i = 0; i < box.ni; ++i) {
+                  const double x = (*got)(i, j, k), y = (*want)(i, j, k);
+                  ++compared;
+                  if (std::memcmp(&x, &y, sizeof(double)) != 0) ++differing;
+                }
+        }
+      EXPECT_EQ(differing, 0u)
+          << differing << " of " << compared << " values differ on "
+          << c.nlon << "x" << c.nlat << "x" << c.nlev << " mesh " << c.rows
+          << "x" << c.cols << " seed " << seed;
+      EXPECT_EQ(compared, 5u * static_cast<std::size_t>(c.nlon) * c.nlat *
+                              static_cast<std::size_t>(c.nlev));
+    }
+  }
 }
 
 TEST(State, InitialConditionIsPhysicallySane) {

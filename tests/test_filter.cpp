@@ -3,10 +3,14 @@
 // four parallel variants against the serial reference across node meshes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <numbers>
 #include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "filter/bank.hpp"
 #include "filter/implicit_zonal.hpp"
@@ -16,6 +20,7 @@
 #include "kernels/simd/dispatch.hpp"
 #include "simnet/machine.hpp"
 #include "util/rng.hpp"
+#include "util/shared_cache.hpp"
 #include "util/stats.hpp"
 
 namespace agcm::filter {
@@ -479,6 +484,176 @@ TEST(BalancedPlan, RedistributeRestoreRoundTrip) {
     for (std::size_t i = 0; i < chunks.size(); ++i)
       EXPECT_DOUBLE_EQ(restored[i], chunks[i]);
   });
+}
+
+// --- balanced plan: the shared schedule cache ("filter.plans") -----------
+
+/// Everything a rank's BalancedFilterPlan derives from the global schedule.
+struct PlanDigest {
+  std::vector<LineKey> my_lines, held_lines, owned_lines;
+  std::vector<int> send_lines, recv_lines;
+  double post_balance_ratio = 0.0;
+  bool operator==(const PlanDigest&) const = default;
+};
+
+/// Test-local copy of the per-rank schedule build the shared cache
+/// replaced: every line stable-sorted by source row (ties in bank order),
+/// global position q assigned to destination row q * rows / total.
+PlanDigest reference_digest(const Decomp2D& decomp, comm::MeshCoord me,
+                            int rows, int cols, const FilterBank& bank) {
+  struct Tagged {
+    LineKey key;
+    int src_row;
+    std::size_t bank_pos;
+  };
+  std::vector<Tagged> global;
+  for (std::size_t pos = 0; pos < bank.lines().size(); ++pos) {
+    const LineKey& line = bank.lines()[pos];
+    global.push_back({line, decomp.lat_partition().owner(line.j), pos});
+  }
+  std::stable_sort(global.begin(), global.end(),
+                   [](const Tagged& a, const Tagged& b) {
+                     return a.src_row != b.src_row ? a.src_row < b.src_row
+                                                   : a.bank_pos < b.bank_pos;
+                   });
+  PlanDigest d;
+  d.send_lines.assign(static_cast<std::size_t>(rows), 0);
+  d.recv_lines.assign(static_cast<std::size_t>(rows), 0);
+  std::vector<int> held_per_row(static_cast<std::size_t>(rows), 0);
+  const std::size_t total = global.size();
+  for (std::size_t q = 0; q < total; ++q) {
+    const int src = global[q].src_row;
+    const int dst =
+        static_cast<int>(q * static_cast<std::size_t>(rows) / total);
+    ++held_per_row[static_cast<std::size_t>(dst)];
+    if (src == me.row) {
+      d.my_lines.push_back(global[q].key);
+      ++d.send_lines[static_cast<std::size_t>(dst)];
+    }
+    if (dst == me.row) {
+      d.held_lines.push_back(global[q].key);
+      ++d.recv_lines[static_cast<std::size_t>(src)];
+    }
+  }
+  for (std::size_t q = 0; q < d.held_lines.size(); ++q)
+    if (static_cast<int>(q % static_cast<std::size_t>(cols)) == me.col)
+      d.owned_lines.push_back(d.held_lines[q]);
+  const double ideal = static_cast<double>(total) / rows;
+  d.post_balance_ratio =
+      ideal > 0.0
+          ? *std::max_element(held_per_row.begin(), held_per_row.end()) / ideal
+          : 1.0;
+  return d;
+}
+
+/// Builds a BalancedFilterPlan on every rank of a rows x cols mesh and
+/// returns each rank's digest, in rank order.
+std::vector<PlanDigest> plan_digests(const LatLonGrid& grid,
+                                     const FilterBank& bank, int rows,
+                                     int cols) {
+  std::vector<PlanDigest> out(static_cast<std::size_t>(rows * cols));
+  Machine machine(MachineProfile::ideal());
+  machine.run(rows * cols, [&](RankContext& ctx) {
+    Communicator world(ctx);
+    Mesh2D mesh(world, rows, cols);
+    const Decomp2D decomp(grid.nlon(), grid.nlat(), rows, cols);
+    const BalancedFilterPlan plan(mesh, decomp, bank);
+    out[static_cast<std::size_t>(world.rank())] = {
+        plan.my_lines(),   plan.held_lines(),
+        plan.row_plan().owned_lines(),
+        plan.send_lines(), plan.recv_lines(),
+        plan.post_balance_ratio()};
+  });
+  return out;
+}
+
+util::SharedCacheStats plan_cache_stats() {
+  for (const util::SharedCacheInfo& info : util::SharedCaches::stats())
+    if (info.name == "filter.plans") return info.stats;
+  return {};
+}
+
+const std::vector<FilteredVariable> kModelVariables = {
+    {"u", FilterKind::kStrong}, {"v", FilterKind::kStrong},
+    {"h", FilterKind::kStrong}, {"theta", FilterKind::kWeak},
+    {"q", FilterKind::kWeak}};
+
+TEST(BalancedPlanCache, SharedScheduleEqualsPerRankBuild) {
+  for (auto [nlon, nlat, nlev] :
+       {std::tuple{144, 90, 9}, std::tuple{48, 30, 3}}) {
+    const LatLonGrid grid(nlon, nlat, nlev);
+    const FilterBank bank(grid, kModelVariables);
+    for (auto [rows, cols] : {std::pair{1, 1}, std::pair{2, 2},
+                              std::pair{4, 2}, std::pair{8, 30}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "grid " << nlon << "x" << nlat << "x" << nlev
+                   << " mesh " << rows << "x" << cols);
+      std::vector<PlanDigest> shared, fresh;
+      {
+        util::SharedCaches::ScopedEnable on(true);
+        util::SharedCaches::clear_all();
+        shared = plan_digests(grid, bank, rows, cols);
+      }
+      {
+        util::SharedCaches::ScopedEnable off(false);
+        fresh = plan_digests(grid, bank, rows, cols);
+      }
+      ASSERT_EQ(shared.size(), fresh.size());
+      const Decomp2D decomp(nlon, nlat, rows, cols);
+      for (int r = 0; r < rows; ++r)
+        for (int c = 0; c < cols; ++c) {
+          const auto rank = static_cast<std::size_t>(r * cols + c);
+          EXPECT_TRUE(shared[rank] == fresh[rank]) << "rank " << rank;
+          EXPECT_TRUE(shared[rank] ==
+                      reference_digest(decomp, {r, c}, rows, cols, bank))
+              << "rank " << rank << " differs from the stable-sort build";
+        }
+    }
+  }
+}
+
+TEST(BalancedPlanCache, KeyedByLineListAndMeshRows) {
+  util::SharedCaches::ScopedEnable on(true);
+  util::SharedCaches::clear_all();
+  const LatLonGrid grid(48, 30, 3);
+  // Same geometry and line count, different variable lists: the lines
+  // differ in their variable index only.
+  const FilterBank strong(grid, {{"a", FilterKind::kStrong},
+                                 {"b", FilterKind::kWeak}});
+  const FilterBank weak(grid, {{"a", FilterKind::kWeak},
+                               {"b", FilterKind::kStrong}});
+  ASSERT_EQ(strong.lines().size(), weak.lines().size());
+  const auto misses = [] { return plan_cache_stats().misses; };
+
+  const std::uint64_t m0 = misses();
+  const auto strong_2 = plan_digests(grid, strong, 2, 1);
+  EXPECT_EQ(misses(), m0 + 1);
+  const auto weak_2 = plan_digests(grid, weak, 2, 1);
+  EXPECT_EQ(misses(), m0 + 2) << "two variable lists shared one entry";
+  const auto strong_4 = plan_digests(grid, strong, 4, 1);
+  EXPECT_EQ(misses(), m0 + 3) << "two mesh-row counts shared one entry";
+  (void)plan_digests(grid, strong, 2, 3);  // more columns, same rows: a hit
+  EXPECT_EQ(misses(), m0 + 3);
+
+  // Each entry serves its own key, as a fresh build would.
+  util::SharedCaches::ScopedEnable off(false);
+  EXPECT_TRUE(strong_2 == plan_digests(grid, strong, 2, 1));
+  EXPECT_TRUE(weak_2 == plan_digests(grid, weak, 2, 1));
+  EXPECT_TRUE(strong_4 == plan_digests(grid, strong, 4, 1));
+}
+
+TEST(BalancedPlanCache, FlagshipSetupBuildsTheScheduleOnce) {
+  // The paper's 240-node T3D run: 240 ranks, 8 distinct row slices, one
+  // schedule build.
+  util::SharedCaches::ScopedEnable on(true);
+  util::SharedCaches::clear_all();
+  const LatLonGrid grid(144, 90, 9);
+  const FilterBank bank(grid, kModelVariables);
+  const util::SharedCacheStats before = plan_cache_stats();
+  (void)plan_digests(grid, bank, 8, 30);
+  const util::SharedCacheStats after = plan_cache_stats();
+  EXPECT_EQ(after.misses - before.misses, 1u);
+  EXPECT_EQ(after.hits - before.hits, 239u);
 }
 
 TEST(RowTranspose, ToLinesToChunksRoundTrip) {

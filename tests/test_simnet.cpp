@@ -7,8 +7,12 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <fstream>
+#include <functional>
 #include <mutex>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -559,6 +563,80 @@ TEST(FiberScheduler, ManyMoreFibersThanWorkers) {
   for (int v : visits) EXPECT_EQ(v, 1);
   EXPECT_EQ(result.total_messages,
             static_cast<std::uint64_t>(nranks) * rounds);
+}
+
+// All P fiber stacks of a run share one mapping, each stack above its own
+// PROT_NONE guard page. These fences check that neighbouring stacks stay
+// isolated when every rank is deep at once, that the run unmaps the whole
+// mapping, and that an impossible mapping fails before any rank runs.
+
+/// Three quarters of the default 512 KiB fiber stack.
+constexpr std::size_t kDeepFrameBytes = 384 * 1024;
+
+/// Marks one byte per cache line of a kDeepFrameBytes frame on the calling
+/// fiber's stack with `mark`, runs `park` while the frame is live, then
+/// returns how many marked bytes no longer hold `mark`.
+[[gnu::noinline]] std::size_t fill_park_check(
+    unsigned char mark, const std::function<void()>& park) {
+  volatile unsigned char frame[kDeepFrameBytes];
+  for (std::size_t i = 0; i < kDeepFrameBytes; i += 64) frame[i] = mark;
+  park();
+  std::size_t clobbered = 0;
+  for (std::size_t i = 0; i < kDeepFrameBytes; i += 64)
+    clobbered += frame[i] != mark ? 1 : 0;
+  return clobbered;
+}
+
+TEST(FiberScheduler, DeepStacksOnOneMappingStayIsolated) {
+  // Every rank fills 3/4 of its stack, then parks in a barrier: rank 0
+  // cannot leave it before all 64 ranks are inside, so all 64 deep frames
+  // are live at once on adjacent stacks of the one mapping.
+  Machine machine(MachineProfile::ideal());
+  machine.set_workers(2);
+  const int nranks = 64;
+  std::vector<std::size_t> clobbered(static_cast<std::size_t>(nranks), 1);
+  machine.run(nranks, [&](RankContext& ctx) {
+    const auto mark = static_cast<unsigned char>(ctx.rank() + 1);
+    clobbered[static_cast<std::size_t>(ctx.rank())] =
+        fill_park_check(mark, [&] { p2p_barrier(ctx, /*tag=*/7); });
+  });
+  for (int r = 0; r < nranks; ++r)
+    EXPECT_EQ(clobbered[static_cast<std::size_t>(r)], 0u) << "rank " << r;
+}
+
+std::size_t maps_line_count() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+TEST(FiberScheduler, RunUnmapsEveryStack) {
+  FiberSchedulerOptions options;
+  options.workers = 2;
+  const std::function<void(int)> body = [](int) {};
+  // Warm-up: the workers' thread stacks and malloc arenas stay mapped
+  // across runs (glibc caches them), so only the second run is measured.
+  run_fibers(1024, body, options);
+  const std::size_t before = maps_line_count();
+  run_fibers(1024, body, options);
+  EXPECT_EQ(maps_line_count(), before);
+}
+
+TEST(FiberScheduler, ImpossibleStackMappingFailsBeforeAnyFiberRuns) {
+  FiberSchedulerOptions options;
+  options.workers = 1;
+  options.stack_bytes = std::size_t{1} << 46;  // 2 x 64 TiB: no address space
+  bool ran = false;
+  try {
+    run_fibers(2, [&](int) { ran = true; }, options);
+    ADD_FAILURE() << "a 128 TiB stack mapping did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("AGCM_SIMNET_STACK_KB"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(ran);
 }
 
 TEST(FiberScheduler, RecvNestedInsideBarrierPhases) {

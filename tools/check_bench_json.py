@@ -96,6 +96,7 @@ REQUIRED_FIELDS = {
         "virtual_times_match": bool,
         "p1024_wall_ms": float,
         "p1024_completed": bool,
+        "peak_rss_mib": float,
         "gates_passed": bool,
     },
     # Self-gating: >=3x concurrent shared-cache throughput over sequential
